@@ -75,6 +75,17 @@ def _env(name: str, fallback=None):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+def _env_flag(name: str) -> bool:
+    """A boolean environment variable: unset, 0/false/no or 1/true/yes."""
+    text = _env(name, "0")
+    value = {"0": False, "false": False, "no": False,
+             "1": True, "true": True, "yes": True}.get(text.strip().lower())
+    if value is None:
+        raise UsageError(f"{ENV_PREFIX}{name} must be 0/false/no or 1/true/yes,"
+                         f" got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
@@ -183,6 +194,7 @@ def cmd_reproduce_tables(args) -> int:
 def cmd_generate(args) -> int:
     out = _require_out(args)
     seed = _require_seed(args)
+    args.two_group = args.two_group or _env_flag("TWO_GROUP")
     if args.two_group and not args.group:
         args.group = "Group"
     schema = _load_schema(args)
@@ -483,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", type=float, default=_env("SIGNAL", "0.8"))
     p.add_argument("--marginals", default=_env("MARGINALS"))
     p.add_argument("--two-group", action="store_true",
-                   default=_env("TWO_GROUP") is not None,
-                   help="plant a high-risk base-rate gap between two groups")
+                   help="plant a high-risk base-rate gap between two groups"
+                        " (or set RISKFOREST_TWO_GROUP=1)")
     p.add_argument("--group-gap", type=float, default=_env("GROUP_GAP", "0.2"))
     p.set_defaults(func=cmd_generate)
 

@@ -3,9 +3,12 @@
 Every tree trains on a with-replacement bootstrap whose generator is
 derived from (master_seed, tree index) through a splittable seed
 sequence, so the trained forest is identical whatever the worker count
-or execution order. The per-tree bootstrap membership is kept so
-out-of-bag predictions can vote with only the trees that never saw a
-row.
+or execution order. The per-tree bootstrap membership is therefore
+never stored: it is drawn again from the seed when out-of-bag
+predictions need to know which trees never saw a row.
+
+All trees live in one flat node table (``tree.NodeTable``); every
+forest-level prediction is one level-by-level gather over it.
 
 Vote ties: an individual tree breaks its leaf-distribution ties toward
 the lower-risk label; the forest breaks vote ties toward the higher-risk
@@ -14,6 +17,7 @@ label (labels are ordered highest risk first).
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -22,16 +26,14 @@ import numpy as np
 from .data.dataset import Dataset, split_holdout
 from .errors import CalibrationError, DataError, FingerprintMismatchError
 from .tree import (
-    FORMAT_LINE as TREE_FORMAT_LINE,
+    NodeTable,
+    TableBuilder,
     TreeNode,
     default_feature_subset_size,
-    deserialize_tree,
-    serialize_tree,
     train_tree,
-    tree_votes,
 )
 
-FOREST_FORMAT_LINE = "riskforest-forest v1"
+FOREST_FORMAT_LINE = "riskforest-forest v2"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -70,17 +72,52 @@ class ForestConfig:
         )
 
 
-@dataclass(frozen=True)
 class Forest:
-    config: ForestConfig
-    trees: tuple[TreeNode, ...]
-    inbag: tuple[np.ndarray, ...]
-    fingerprint: str
-    labels: tuple[str, ...]
+    """A trained forest: its config, its trees in one flat node table, and
+    what it needs to refuse data it was not made for.
+
+    Give either ``trees`` (linked nodes, compiled into the table) or
+    ``table``. ``trees`` and ``inbag`` left out are derived on first use:
+    the linked trees from ``table``, the in-bag lists from the seed and
+    ``n_train``. ``n_features`` is the row length the model scores and
+    ``data_digest`` identifies its training rows; a forest built by hand
+    may leave all three None.
+    """
+
+    def __init__(self, config: ForestConfig, trees=None, inbag=None, *,
+                 fingerprint: str, labels, table: NodeTable | None = None,
+                 n_features: int | None = None, n_train: int | None = None,
+                 data_digest: str | None = None):
+        self.config = config
+        self.fingerprint = fingerprint
+        self.labels = tuple(labels)
+        self.table = (table if table is not None
+                      else NodeTable.from_trees(trees, len(self.labels)))
+        self.n_features = n_features
+        self.n_train = n_train
+        self.data_digest = data_digest
+        self._trees = None if trees is None else tuple(trees)
+        self._inbag = None if inbag is None else tuple(inbag)
 
     @property
     def n_labels(self) -> int:
         return len(self.labels)
+
+    @property
+    def trees(self) -> tuple[TreeNode, ...]:
+        if self._trees is None:
+            self._trees = tuple(self.table.tree(t)
+                                for t in range(self.table.n_trees))
+        return self._trees
+
+    @property
+    def inbag(self) -> tuple[np.ndarray, ...]:
+        if self._inbag is None:
+            if self.n_train is None:
+                raise DataError("forest records neither in-bag lists nor n_train")
+            self._inbag = tuple(bootstrap_rows(self.config, i, self.n_train)
+                                for i in range(self.config.n_trees))
+        return self._inbag
 
 
 def derive_tree_seed(master_seed: int, index: int) -> int:
@@ -90,11 +127,22 @@ def derive_tree_seed(master_seed: int, index: int) -> int:
     return int(tree_ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _bootstrap_indices(master_seed: int, index: int, n: int, size: int) -> np.ndarray:
+def bootstrap_rows(cfg: ForestConfig, index: int, n: int) -> np.ndarray:
+    """Sorted in-bag row multiset of tree ``index`` for ``n`` training rows."""
+    if cfg.identity_bootstrap:
+        return np.arange(n, dtype=np.int64)
     boot_ss, _ = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(index,)).spawn(2)
-    draws = np.random.default_rng(boot_ss).integers(0, n, size=size)
+        entropy=cfg.master_seed, spawn_key=(index,)).spawn(2)
+    draws = np.random.default_rng(boot_ss).integers(0, n, size=cfg.bootstrap_size)
     return np.sort(draws)  # canonical multiset representation
+
+
+def data_digest(data: Dataset) -> str:
+    """16 hex digits identifying a dataset's rows and labels."""
+    h = hashlib.sha256(f"{data.X.shape}".encode())
+    h.update(np.ascontiguousarray(data.X, dtype="<f8"))
+    h.update(np.ascontiguousarray(data.y, dtype="<i8"))
+    return h.hexdigest()[:16]
 
 
 def train_forest(data: Dataset, config: ForestConfig, threads: int = 1) -> Forest:
@@ -108,33 +156,31 @@ def train_forest(data: Dataset, config: ForestConfig, threads: int = 1) -> Fores
     cfg = config.resolved(data)
     n = len(data)
 
-    def build(i: int):
-        if cfg.identity_bootstrap:
-            inbag = np.arange(n, dtype=np.int64)
-        else:
-            inbag = _bootstrap_indices(cfg.master_seed, i, n, cfg.bootstrap_size)
-        tree = train_tree(
+    def build(i: int) -> TreeNode:
+        return train_tree(
             data,
             class_weights=cfg.class_weights,
             feature_subset_size=cfg.feature_subset_size,
             min_leaf=cfg.min_leaf,
             max_depth=cfg.max_depth,
             seed=derive_tree_seed(cfg.master_seed, i),
-            row_indices=inbag,
+            row_indices=bootstrap_rows(cfg, i, n),
         )
-        return tree, inbag
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, range(cfg.n_trees)))
+            trees = list(pool.map(build, range(cfg.n_trees)))
     else:
-        built = [build(i) for i in range(cfg.n_trees)]
+        trees = [build(i) for i in range(cfg.n_trees)]
 
-    trees = tuple(t for t, _ in built)
-    inbag = tuple(b for _, b in built)
-    return Forest(config=cfg, trees=trees, inbag=inbag,
+    # Only the table is kept: ``Forest.trees`` rebuilds linked nodes and
+    # ``Forest.inbag`` draws the bootstraps again, on demand.
+    return Forest(config=cfg,
+                  table=NodeTable.from_trees(trees, data.schema.n_labels),
                   fingerprint=data.schema.fingerprint(),
-                  labels=data.schema.label_set)
+                  labels=data.schema.label_set,
+                  n_features=data.schema.n_features, n_train=n,
+                  data_digest=data_digest(data))
 
 
 # -- prediction ----------------------------------------------------------
@@ -150,22 +196,29 @@ def _check_fingerprint(forest: Forest, data: Dataset) -> None:
 
 def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n_trees, n_rows) matrix of per-tree vote label indices."""
-    return np.stack([tree_votes(tree, X) for tree in forest.trees])
+    leaves = forest.table.leaves(X)
+    return np.take(forest.table.vote, leaves, out=leaves)
 
 
-def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
-    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix."""
+def tally_votes(votes: np.ndarray, n_labels: int, keep=None) -> np.ndarray:
+    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix.
+
+    With a boolean ``keep`` of the same shape, only the votes it marks count.
+    """
     n_rows = votes.shape[1]
-    tally = np.zeros((n_rows, n_labels), dtype=np.int64)
-    rows = np.arange(n_rows)
-    for t in range(votes.shape[0]):
-        tally[rows, votes[t]] += 1
-    return tally
+    cells = votes + n_labels * np.arange(n_rows)
+    if keep is not None:
+        cells = cells[keep]
+    return np.bincount(cells.ravel(), minlength=n_rows * n_labels
+                       ).reshape(n_rows, n_labels)
 
 
 def predict_forest(forest: Forest, row):
     """Plurality label and the per-label vote tally for one row."""
     X = np.asarray(row, dtype=float).reshape(1, -1)
+    if forest.n_features is not None and X.shape[1] != forest.n_features:
+        raise DataError(f"row has {X.shape[1]} values, the model"
+                        f" {forest.n_features} features")
     votes = forest_votes(forest, X)
     tally = tally_votes(votes, forest.n_labels)[0]
     label = forest.labels[int(np.argmax(tally))]  # argmax ties -> higher risk
@@ -184,22 +237,25 @@ def oob_predict(forest: Forest, data: Dataset):
     """Out-of-bag labels per row, -1 where every tree saw the row.
 
     Returns (labels, n_oob_trees) where n_oob_trees[i] counts the trees
-    voting on row i.
+    voting on row i. Raises FingerprintMismatchError unless ``data`` holds
+    the rows the forest was trained on.
     """
     _check_fingerprint(forest, data)
     n = len(data)
+    if forest.data_digest is not None and data_digest(data) != forest.data_digest:
+        raise FingerprintMismatchError(
+            "out-of-bag figures need the training data; this dataset's digest"
+            f" {data_digest(data)} is not the model's {forest.data_digest}")
+    inbag = forest.inbag
+    if any(b.size and b.max() >= n for b in inbag):
+        raise FingerprintMismatchError(
+            "dataset is smaller than the training set this model recorded")
     votes = forest_votes(forest, data.X)
-    tally = np.zeros((n, forest.n_labels), dtype=np.int64)
-    oob_counts = np.zeros(n, dtype=np.int64)
-    for t, inbag in enumerate(forest.inbag):
-        if inbag.size and inbag.max() >= n:
-            raise FingerprintMismatchError(
-                "dataset is smaller than the training set this model recorded")
-        member = np.zeros(n, dtype=bool)
-        member[inbag] = True
-        rows = np.flatnonzero(~member)
-        tally[rows, votes[t, rows]] += 1
-        oob_counts[rows] += 1
+    oob = np.ones(votes.shape, dtype=bool)
+    for t, rows in enumerate(inbag):
+        oob[t, rows] = False
+    tally = tally_votes(votes, forest.n_labels, keep=oob)
+    oob_counts = oob.sum(axis=0)
     labels = np.argmax(tally, axis=1)
     labels[oob_counts == 0] = -1
     return labels, oob_counts
@@ -285,86 +341,178 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: floa
 # -- save/load -----------------------------------------------------------
 
 
+# Header keys of a forest document, in the order they are written.
+_HEADER_KEYS = ("fingerprint", "labels", "n_features", "n_trees",
+                "class_weights", "feature_subset_size", "min_leaf", "max_depth",
+                "master_seed", "bootstrap_size", "identity_bootstrap",
+                "n_train", "data_digest")
+
+
 def save_forest(forest: Forest, path) -> None:
-    """Write the forest as a deterministic text document."""
+    """Write the forest as a deterministic text document.
+
+    In-bag lists are not written: load_forest draws them again from the
+    seed, ``n_train`` and ``bootstrap_size``. So only forests that record
+    their training set (made by train_forest or load_forest) can be saved.
+    """
+    if None in (forest.n_features, forest.n_train, forest.data_digest):
+        raise DataError("only a forest made by train_forest or load_forest"
+                        " can be saved")
     cfg = forest.config
-    lines = [
-        FOREST_FORMAT_LINE,
-        f"fingerprint {forest.fingerprint}",
-        "labels " + ",".join(forest.labels),
-        f"n_trees {cfg.n_trees}",
-        "class_weights " + ",".join(repr(w) for w in cfg.class_weights),
-        f"feature_subset_size {cfg.feature_subset_size}",
-        f"min_leaf {cfg.min_leaf}",
-        f"max_depth {cfg.max_depth}",
-        f"master_seed {cfg.master_seed}",
-        f"bootstrap_size {cfg.bootstrap_size}",
-        f"identity_bootstrap {int(cfg.identity_bootstrap)}",
-    ]
-    for i, inbag in enumerate(forest.inbag):
-        lines.append(f"inbag {i} " + " ".join(str(v) for v in inbag))
-    for i, tree in enumerate(forest.trees):
-        lines.append(f"tree {i}")
-        lines.append(serialize_tree(tree).rstrip("\n"))
+    values = {
+        "fingerprint": forest.fingerprint,
+        "labels": ",".join(forest.labels),
+        "n_features": forest.n_features,
+        "n_trees": cfg.n_trees,
+        "class_weights": ",".join(repr(w) for w in cfg.class_weights),
+        "feature_subset_size": cfg.feature_subset_size,
+        "min_leaf": cfg.min_leaf,
+        "max_depth": cfg.max_depth,
+        "master_seed": cfg.master_seed,
+        "bootstrap_size": cfg.bootstrap_size,
+        "identity_bootstrap": int(cfg.identity_bootstrap),
+        "n_train": forest.n_train,
+        "data_digest": forest.data_digest,
+    }
+    lines = [FOREST_FORMAT_LINE] + [f"{key} {values[key]}" for key in _HEADER_KEYS]
+    for t in range(cfg.n_trees):
+        lines.append(f"tree {t}")
+        lines += forest.table.node_lines(t)
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _bit(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+def _labels(text: str) -> tuple[str, ...]:
+    labels = tuple(text.split(","))
+    if len(labels) < 2 or "" in labels or len(set(labels)) != len(labels):
+        raise ValueError(text)
+    return labels
+
+
+def _hex16(text: str) -> str:
+    if len(text) != 16 or text.strip("0123456789abcdef"):
+        raise ValueError(text)
+    return text
+
+
 def load_forest(path, schema=None) -> Forest:
-    """Read a forest document; verifies the fingerprint when a schema is given."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != FOREST_FORMAT_LINE:
-        raise DataError(f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
-    header: dict[str, str] = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith(("inbag ", "tree ")):
-        key, _, value = lines[pos].partition(" ")
-        header[key] = value
-        pos += 1
+    """Read a forest document into a node table; any malformed input raises
+    DataError with its line number. When a schema is given, the model's
+    fingerprint, feature count, split features and category codes are
+    checked against it.
+    """
     try:
-        labels = tuple(header["labels"].split(","))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+    def fail(lineno: int, message: str):
+        return DataError(f"{path}, line {lineno}: {message}")
+
+    if not lines or lines[0] != FOREST_FORMAT_LINE:
+        if lines and lines[0].startswith("riskforest-forest "):
+            raise fail(1, f"{lines[0]!r} cannot be read: this version reads"
+                          f" {FOREST_FORMAT_LINE!r} only (v1 stored in-bag"
+                          " lists; retrain the model to write v2)")
+        raise fail(1, f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
+    header: dict[str, tuple[int, str]] = {}
+    pos = 1
+    while pos < len(lines) and not lines[pos].startswith("tree "):
+        key, _, value = lines[pos].partition(" ")
+        if key not in _HEADER_KEYS or key in header:
+            raise fail(pos + 1, f"unexpected header line {lines[pos]!r}")
+        header[key] = (pos + 1, value)
+        pos += 1
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise fail(pos + 1, "forest header missing " + ", ".join(missing))
+
+    def field(key, convert):
+        lineno, value = header[key]
+        try:
+            return convert(value)
+        except ValueError:
+            raise fail(lineno, f"bad {key} {value!r}") from None
+
+    labels = field("labels", _labels)
+    fingerprint = field("fingerprint", _hex16)
+    n_features = field("n_features", _positive_int)
+    n_train = field("n_train", _positive_int)
+    digest = field("data_digest", _hex16)
+    try:
         cfg = ForestConfig(
-            n_trees=int(header["n_trees"]),
-            class_weights=tuple(float(w)
-                                for w in header["class_weights"].split(",")),
-            feature_subset_size=int(header["feature_subset_size"]),
-            min_leaf=int(header["min_leaf"]),
-            max_depth=int(header["max_depth"]),
-            master_seed=int(header["master_seed"]),
-            bootstrap_size=int(header["bootstrap_size"]),
-            identity_bootstrap=bool(int(header["identity_bootstrap"])),
+            n_trees=field("n_trees", _positive_int),
+            class_weights=field("class_weights",
+                                lambda v: tuple(float(w) for w in v.split(","))),
+            feature_subset_size=field("feature_subset_size", _positive_int),
+            min_leaf=field("min_leaf", _positive_int),
+            max_depth=field("max_depth", _positive_int),
+            master_seed=field("master_seed", _natural),
+            bootstrap_size=field("bootstrap_size", _positive_int),
+            identity_bootstrap=field("identity_bootstrap", _bit),
         )
-        fingerprint = header["fingerprint"]
-    except KeyError as exc:
-        raise DataError(f"forest header missing {exc}") from None
+    except DataError as exc:
+        raise fail(header["class_weights"][0], str(exc)) from None
+    if len(cfg.class_weights) != len(labels):
+        raise fail(header["class_weights"][0],
+                   f"{len(cfg.class_weights)} class weights for"
+                   f" {len(labels)} labels")
+    n_categories = None
+    if schema is not None:
+        if schema.fingerprint() != fingerprint:
+            raise FingerprintMismatchError(
+                f"schema {schema.fingerprint()} does not match the saved"
+                f" model's {fingerprint}")
+        if schema.n_features != n_features:
+            raise fail(header["n_features"][0],
+                       f"model has {n_features} features, the schema"
+                       f" {schema.n_features}")
+        n_categories = [len(spec.categories) for spec in schema.specs]
 
-    inbag = []
-    while pos < len(lines) and lines[pos].startswith("inbag "):
-        _, _, rest = lines[pos].split(" ", 2)
-        inbag.append(np.array([int(v) for v in rest.split()], dtype=np.int64))
-        pos += 1
-
-    trees = []
-    while pos < len(lines) and lines[pos].startswith("tree "):
-        pos += 1
-        if lines[pos] != TREE_FORMAT_LINE:
-            raise DataError("malformed tree block")
-        block = [lines[pos]]
-        pos += 1
-        while pos < len(lines) and lines[pos].startswith(("leaf ", "split ")):
-            block.append(lines[pos])
-            pos += 1
-        trees.append(deserialize_tree("\n".join(block)))
-    if pos >= len(lines) or lines[pos] != "end":
-        raise DataError("forest document not terminated with 'end'")
-    if len(trees) != cfg.n_trees or len(inbag) != cfg.n_trees:
-        raise DataError("tree or inbag count does not match header")
-    if schema is not None and schema.fingerprint() != fingerprint:
-        raise FingerprintMismatchError(
-            f"schema {schema.fingerprint()} does not match the saved model's"
-            f" {fingerprint}")
-    return Forest(config=cfg, trees=tuple(trees), inbag=tuple(inbag),
-                  fingerprint=fingerprint, labels=labels)
+    builder = TableBuilder(len(labels), n_features, n_categories)
+    for pos in range(pos, len(lines)):
+        line = lines[pos]
+        try:
+            if line == "end":
+                table = builder.finish()
+                break
+            if line.startswith("tree "):
+                expected = f"tree {len(builder.roots)}"
+                if line != expected:
+                    raise DataError(f"expected {expected!r}, got {line!r}")
+                builder.start_tree()
+            else:
+                builder.add_line(line)
+        except DataError as exc:
+            raise fail(pos + 1, str(exc)) from None
+    else:
+        raise fail(len(lines), "forest document not terminated with 'end'")
+    if pos != len(lines) - 1:
+        raise fail(pos + 2, "content after 'end'")
+    if table.n_trees != cfg.n_trees:
+        raise fail(pos + 1, f"{table.n_trees} trees, header says {cfg.n_trees}")
+    return Forest(config=cfg, fingerprint=fingerprint, labels=labels,
+                  table=table, n_features=n_features, n_train=n_train,
+                  data_digest=digest)

@@ -22,8 +22,9 @@ seed).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 
@@ -53,11 +54,6 @@ class SplitRule:
             if not self.subset:
                 raise SchemaError("subset rule must be nonempty")
 
-    def goes_left(self, value: float) -> bool:
-        if self.threshold is not None:
-            return value <= self.threshold
-        return int(value) in self.subset
-
 
 class TreeNode:
     """Internal node (rule, left, right) or leaf (class_weights)."""
@@ -76,14 +72,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.rule is None
-
-    def __eq__(self, other):
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return serialize_tree(self) == serialize_tree(other)
-
-    def __hash__(self):
-        return hash(serialize_tree(self))
 
 
 def default_feature_subset_size(n_features: int) -> int:
@@ -273,53 +261,321 @@ def _best_subset(v, ynode, K, cw, min_leaf, n_categories):
     return float(score[pos]), ("subset", frozenset(int(x) for x in members), members)
 
 
+# -- flat node table ----------------------------------------------------
+
+#: (tree, row) pairs one pass of the level-wise gather advances together.
+#: It bounds the gather's temporary arrays whatever the batch or forest size.
+BLOCK_PAIRS = 1 << 12
+
+#: Largest category code a subset split may hold when no schema says more.
+MAX_CATEGORY_CODE = (1 << 20) - 1
+
+
+class NodeTable:
+    """Every node of one or more trees in flat arrays, each tree in pre-order.
+
+    Node i splits on ``feature[i]`` and has children ``left[i]`` and
+    ``right[i]``. A numeric split sends a row left when
+    ``row[feature] <= threshold[i]``. A subset split sends it left when the
+    value, truncated like ``int()``, is a member: with ``s = start[i]`` and
+    ``w = width[i]`` (one past the largest member), ``members[s:s + w]``
+    flags categories 0..w-1, and the flags just before and just after them
+    are False, so any code clipped to [-1, w] reads a flag. A numeric split
+    has start 0 and width 0 and reads one of those False flags; a subset
+    split has a NaN threshold. A leaf has both of these, and points to
+    itself on both sides, so extra levels leave it in place.
+
+    ``weights[i]`` holds a leaf's class weights (zeros at splits) and
+    ``vote[i]`` its vote: the argmax of the normalised weights, ties broken
+    toward the lower-risk label (the higher label index). ``roots[t]`` is
+    tree t's first node and ``depth`` the deepest leaf over all trees.
+    """
+
+    def __init__(self, feature, start, width, left, right, threshold,
+                 members, weights, roots, depth):
+        self.feature = feature
+        self.start = start
+        self.width = width
+        self.left = left
+        self.right = right
+        self.threshold = threshold
+        self.members = members
+        self.weights = weights
+        self.roots = roots
+        self.depth = depth
+        self.is_leaf = self.left == np.arange(len(self.left))
+        splits = self.feature[~self.is_leaf]
+        self.n_columns = int(splits.max()) + 1 if splits.size else 0
+        leaf_w = weights[self.is_leaf]
+        dist = leaf_w / leaf_w.sum(axis=1, keepdims=True)
+        K = weights.shape[1]
+        self.vote = np.zeros(len(self.left), dtype=np.intp)
+        self.vote[self.is_leaf] = K - 1 - np.argmax(dist[:, ::-1], axis=1)
+
+    @classmethod
+    def from_trees(cls, trees, n_labels=None) -> "NodeTable":
+        builder = TableBuilder(n_labels)
+        for tree in trees:
+            builder.start_tree()
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node.is_leaf:
+                    builder.leaf(node.class_weights)
+                    continue
+                r = node.rule
+                builder.split(r.feature_index, r.threshold,
+                              None if r.subset is None else sorted(r.subset))
+                stack.append(node.right)
+                stack.append(node.left)
+        return builder.finish()
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
+
+    def _span(self, t: int) -> range:
+        end = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.left)
+        return range(int(self.roots[t]), int(end))
+
+    def subset(self, i: int) -> list[int]:
+        start = self.start[i]
+        return np.flatnonzero(self.members[start:start + self.width[i]]).tolist()
+
+    def leaves(self, X) -> np.ndarray:
+        """(n_trees, n_rows) index of the leaf each row reaches in each tree.
+
+        All trees advance one level per step, over blocks of at most
+        BLOCK_PAIRS (tree, row) pairs.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise DataError("empty row matrix")
+        n, d = X.shape
+        if d < self.n_columns:
+            raise DataError(f"rows have {d} values; the trees split on"
+                            f" feature {self.n_columns - 1}")
+        T = len(self.roots)
+        out = np.empty((T, n), dtype=np.intp)
+        step = max(1, BLOCK_PAIRS // T)
+        # Values beyond the integer range cast to a negative code (read as
+        # no category) and would warn at every level.
+        with np.errstate(invalid="ignore"):
+            for r0 in range(0, n, step):
+                self._descend(X, r0, min(step, n - r0), out)
+        return out
+
+    def _descend(self, X, r0: int, b: int, out: np.ndarray) -> None:
+        """Move rows r0..r0+b-1 from every root to their leaves in ``out``."""
+        T, d = len(self.roots), X.shape[1]
+        block = np.ascontiguousarray(X[r0:r0 + b]).ravel()
+        offsets = np.tile(np.arange(0, b * d, d), T)
+        nodes = np.repeat(self.roots, b)
+        for _ in range(self.depth):
+            v = block[offsets + self.feature[nodes]]
+            go_left = v <= self.threshold[nodes]
+            code = v.astype(np.intp)
+            np.maximum(code, -1, out=code)
+            np.minimum(code, self.width[nodes], out=code)
+            code += self.start[nodes]
+            go_left |= self.members[code]
+            nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+        out[:, r0:r0 + b] = nodes.reshape(T, b)
+
+    def tree(self, t: int) -> TreeNode:
+        """Tree t as linked nodes."""
+        def build(i):
+            if self.is_leaf[i]:
+                return TreeNode(class_weights=self.weights[i].copy())
+            f = int(self.feature[i])
+            rule = (SplitRule(f, subset=frozenset(self.subset(i))) if self.width[i]
+                    else SplitRule(f, threshold=float(self.threshold[i])))
+            return TreeNode(rule=rule, left=build(self.left[i]),
+                            right=build(self.right[i]))
+
+        return build(int(self.roots[t]))
+
+    def node_lines(self, t: int) -> list[str]:
+        """Tree t's pre-order node lines, floats in repr round-trip form."""
+        span = self._span(t)
+        nodes = slice(span.start, span.stop)
+        lines = []
+        for i, f, width, left, thr, w in zip(
+                span, self.feature[nodes].tolist(), self.width[nodes].tolist(),
+                self.left[nodes].tolist(), self.threshold[nodes].tolist(),
+                self.weights[nodes].tolist()):
+            if left == i:
+                lines.append("leaf " + ",".join(map(repr, w)))
+            elif width:
+                lines.append(f"split {f} in "
+                             + ",".join(map(str, self.subset(i))))
+            else:
+                lines.append(f"split {f} <= {thr!r}")
+        return lines
+
+
+class TableBuilder:
+    """Fills a NodeTable from nodes given in pre-order, tree after tree.
+
+    It checks the structure as it goes (every split gets two subtrees, no
+    node follows a finished tree) and, when told the label, feature and
+    category counts, that every node fits them. Violations raise DataError.
+    """
+
+    def __init__(self, n_labels=None, n_features=None, n_categories=None):
+        self.n_labels = n_labels
+        self.n_features = n_features
+        self.n_categories = n_categories
+        # Typed buffers rather than lists: a list of Python numbers takes
+        # four times the memory, next to a freshly trained forest.
+        self.feature = array("q")
+        self.start = array("q")
+        self.width = array("q")
+        self.left = array("q")
+        self.right = array("q")
+        self.threshold = array("d")
+        self.members = bytearray(1)
+        self.leaf_nodes = array("q")
+        self.leaf_weights = array("d")
+        self.roots: list[int] = []
+        self.depth = 0
+        self._open: list[tuple[int, int]] = []  # splits awaiting a right child
+        self._next_depth: int | None = None  # None: no node may come next
+
+    def start_tree(self) -> None:
+        if self.roots and self._next_depth is not None:
+            raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
+        self.roots.append(len(self.threshold))
+        self._next_depth = 0
+
+    def _place(self) -> tuple[int, int]:
+        i = len(self.threshold)
+        depth = self._next_depth
+        if depth is None:
+            raise DataError("node after the end of its tree")
+        return i, depth
+
+    def _append(self, feature, start, width, left, right) -> None:
+        self.feature.append(feature)
+        self.start.append(start)
+        self.width.append(width)
+        self.left.append(left)
+        self.right.append(right)
+
+    def split(self, feature: int, threshold=None, members=None) -> None:
+        i, depth = self._place()
+        if feature < 0 or (self.n_features is not None
+                           and feature >= self.n_features):
+            raise DataError(f"split feature {feature} outside the model's"
+                            f" {self.n_features} features")
+        if members is None:
+            start = width = 0
+        else:
+            if not members:
+                raise DataError("empty category subset")
+            limit = (MAX_CATEGORY_CODE + 1 if self.n_categories is None
+                     else self.n_categories[feature])
+            bad = [c for c in members if not 0 <= c < limit]
+            if bad:
+                raise DataError(f"category {bad[0]} outside feature {feature}'s"
+                                f" {limit} categories")
+            start = len(self.members)
+            width = max(members) + 1
+            flags = bytearray(width + 1)
+            for c in members:
+                flags[c] = 1
+            self.members += flags
+            threshold = float("nan")
+        self._append(feature, start, width, i + 1, -1)
+        self.threshold.append(threshold)
+        self._open.append((i, depth))
+        self._next_depth = depth + 1
+
+    def leaf(self, weights) -> None:
+        i, depth = self._place()
+        w = [float(v) for v in weights]
+        K = self.n_labels = self.n_labels or len(w)
+        if len(w) != K:
+            raise DataError(f"leaf has {len(w)} class weights, expected {K}")
+        if not 0 < sum(w) < inf:  # also false when any weight is not finite
+            raise DataError("leaf class weights must be finite and sum to > 0")
+        self._append(0, 0, 0, i, i)
+        self.threshold.append(float("nan"))
+        self.leaf_nodes.append(i)
+        self.leaf_weights.extend(w)
+        self.depth = max(self.depth, depth)
+        if self._open:
+            parent, parent_depth = self._open.pop()
+            self.right[parent] = i + 1
+            self._next_depth = parent_depth + 1
+        else:
+            self._next_depth = None
+
+    def add_line(self, line: str) -> None:
+        """One node line: ``leaf w,..``, ``split f <= t`` or ``split f in c,..``."""
+        kind, _, rest = line.partition(" ")
+        parsed = None
+        try:
+            if kind == "leaf":
+                parsed = [float(t) for t in rest.split(",")]
+            elif kind == "split":
+                feat, op, arg = rest.split(" ")
+                if op == "<=":
+                    parsed = (int(feat), float(arg), None)
+                elif op == "in":
+                    parsed = (int(feat), None,
+                              sorted({int(t) for t in arg.split(",")}))
+        except ValueError:
+            pass
+        if parsed is None:
+            raise DataError(f"malformed node line {line!r}")
+        if kind == "leaf":
+            self.leaf(parsed)
+        else:
+            self.split(*parsed)
+
+    def finish(self) -> NodeTable:
+        if not self.roots:
+            raise DataError("no trees")
+        if self._next_depth is not None:
+            raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
+
+        def ints(buffer):
+            return np.frombuffer(buffer, dtype=np.int64).astype(np.intp)
+
+        weights = np.zeros((len(self.threshold), self.n_labels))
+        weights[ints(self.leaf_nodes)] = np.frombuffer(
+            self.leaf_weights).reshape(-1, self.n_labels)
+        return NodeTable(
+            feature=ints(self.feature), start=ints(self.start),
+            width=ints(self.width), left=ints(self.left), right=ints(self.right),
+            threshold=np.frombuffer(self.threshold).copy(),
+            members=np.frombuffer(self.members, dtype=bool).copy(),
+            weights=weights,
+            roots=np.array(self.roots, dtype=np.intp),
+            depth=self.depth,
+        )
+
+
 # -- prediction ----------------------------------------------------------
 
 
-def predict_tree(tree: TreeNode, row) -> np.ndarray:
-    """Normalized class distribution of the leaf this row lands in."""
-    node = tree
-    row = np.asarray(row, dtype=float)
-    while not node.is_leaf:
-        node = node.left if node.rule.goes_left(row[node.rule.feature_index]) else node.right
-    w = np.asarray(node.class_weights, dtype=float)
-    return w / w.sum()
-
-
 def tree_apply(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vectorized predict_tree over a row matrix; returns (n, K) distributions."""
-    n = X.shape[0]
-    if n == 0:
-        raise DataError("empty row matrix")
-    probe = tree
-    while not probe.is_leaf:
-        probe = probe.left
-    out = np.empty((n, len(probe.class_weights)))
-    stack = [(tree, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            w = np.asarray(node.class_weights, dtype=float)
-            out[idx] = w / w.sum()
-            continue
-        v = X[idx, node.rule.feature_index]
-        if node.rule.threshold is not None:
-            mask = v <= node.rule.threshold
-        else:
-            mask = np.isin(v.astype(np.int64),
-                           np.fromiter(node.rule.subset, dtype=np.int64))
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+    """Normalised class distribution of the leaf each row lands in; (n, K)."""
+    table = NodeTable.from_trees((tree,))
+    w = table.weights[table.leaves(X)[0]]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def predict_tree(tree: TreeNode, row) -> np.ndarray:
+    """Normalised class distribution of the leaf this row lands in."""
+    return tree_apply(tree, np.asarray(row, dtype=float).reshape(1, -1))[0]
 
 
 def tree_votes(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     """Per-row argmax labels with ties broken toward the lower-risk label."""
-    dist = tree_apply(tree, X)
-    K = dist.shape[1]
-    return K - 1 - np.argmax(dist[:, ::-1], axis=1)
+    table = NodeTable.from_trees((tree,))
+    return table.vote[table.leaves(X)[0]]
 
 
 # -- serialization ------------------------------------------------------
@@ -327,56 +583,23 @@ def tree_votes(tree: TreeNode, X: np.ndarray) -> np.ndarray:
 
 def serialize_tree(tree: TreeNode) -> str:
     """Pre-order node list, one node per line. Floats use repr round-trip."""
-    lines = [FORMAT_LINE]
-
-    def walk(node):
-        if node.is_leaf:
-            weights = ",".join(repr(float(w)) for w in node.class_weights)
-            lines.append(f"leaf {weights}")
-            return
-        r = node.rule
-        if r.threshold is not None:
-            lines.append(f"split {r.feature_index} <= {repr(float(r.threshold))}")
-        else:
-            members = ",".join(str(c) for c in sorted(r.subset))
-            lines.append(f"split {r.feature_index} in {members}")
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree)
+    lines = [FORMAT_LINE] + NodeTable.from_trees((tree,)).node_lines(0)
     return "\n".join(lines) + "\n"
 
 
 def deserialize_tree(text: str) -> TreeNode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_LINE:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != FORMAT_LINE:
         raise DataError(f"not a tree document (expected {FORMAT_LINE!r})")
-    it = iter(lines[1:])
-    tree = _read_node(it)
-    if next(it, None) is not None:
-        raise DataError("trailing content after tree")
-    return tree
-
-
-def _read_node(it) -> TreeNode:
+    builder = TableBuilder()
+    builder.start_tree()
+    for lineno, line in lines[1:]:
+        try:
+            builder.add_line(line)
+        except DataError as exc:
+            raise DataError(f"tree document, line {lineno}: {exc}") from None
     try:
-        line = next(it)
-    except StopIteration:
-        raise DataError("truncated tree document") from None
-    kind, _, rest = line.partition(" ")
-    if kind == "leaf":
-        weights = np.array([float(t) for t in rest.split(",")])
-        return TreeNode(class_weights=weights)
-    if kind != "split":
-        raise DataError(f"bad node line {line!r}")
-    feat, op, arg = rest.split(" ", 2)
-    if op == "<=":
-        rule = SplitRule(feature_index=int(feat), threshold=float(arg))
-    elif op == "in":
-        rule = SplitRule(feature_index=int(feat),
-                         subset=frozenset(int(t) for t in arg.split(",")))
-    else:
-        raise DataError(f"bad split operator {op!r}")
-    left = _read_node(it)
-    right = _read_node(it)
-    return TreeNode(rule=rule, left=left, right=right)
+        return builder.finish().tree(0)
+    except DataError as exc:
+        raise DataError(f"tree document: {exc}") from None

@@ -197,3 +197,42 @@ def test_k_anon_command(tmp_path, pipeline_dirs):
     assert payload["result"]["k"] >= 1
     assert payload["result"]["quasi_identifiers"] == [
         "Gender", "InstantViolenceOffenceBinary"]
+
+
+@pytest.mark.parametrize("value", ["0", "false", "no"])
+def test_two_group_env_off(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RISKFOREST_TWO_GROUP", value)
+    out = tmp_path / "g"
+    assert run("generate", "--n", "30", "--seed", "1", "--out", str(out)) == 0
+    payload = json.loads((out / "generate.json").read_text())
+    assert payload["header"]["config"]["two-group"] is False
+    assert "Group" not in (out / "synthetic.csv").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("value", ["1", "true", "yes"])
+def test_two_group_env_on(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RISKFOREST_TWO_GROUP", value)
+    out = tmp_path / "g"
+    assert run("generate", "--n", "30", "--seed", "1", "--out", str(out)) == 0
+    payload = json.loads((out / "generate.json").read_text())
+    assert payload["header"]["config"]["two-group"] is True
+    assert "Group" in (out / "synthetic.csv").read_text().splitlines()[0]
+
+
+def test_two_group_env_garbage_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RISKFOREST_TWO_GROUP", "maybe")
+    assert run("generate", "--n", "30", "--seed", "1",
+               "--out", str(tmp_path / "g")) == 2
+    assert "RISKFOREST_TWO_GROUP" in capsys.readouterr().err
+
+
+def test_malformed_model_exits_one_with_located_message(tmp_path, pipeline_dirs,
+                                                         capsys):
+    gen, tr = pipeline_dirs
+    lines = (tr / "model.forest").read_text().splitlines()
+    bad = tmp_path / "bad.forest"
+    bad.write_text("\n".join(lines[:lines.index("tree 0") + 1]) + "\n")
+    assert run("predict", "--model", str(bad), "--data",
+               str(gen / "synthetic.csv"), "--out", str(tmp_path / "pr")) == 1
+    err = capsys.readouterr().err
+    assert "line" in err and "Traceback" not in err
