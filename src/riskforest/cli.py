@@ -239,6 +239,8 @@ def cmd_train(args) -> int:
     seed = _require_seed(args)
     if not args.data:
         raise UsageError("--data is required")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     schema = _load_schema(args)
     ds = load_csv(args.data, schema)
     config = _forest_config(args, seed)

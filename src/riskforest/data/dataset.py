@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from ..errors import DataError, SchemaError, SchemaMismatchError
-from .schema import LABEL_COLUMN, FeatureSchema, decode_cell, encode_cell
+from .schema import (
+    LABEL_COLUMN,
+    SUBSET_KINDS,
+    FeatureSchema,
+    FeatureSpec,
+    decode_cell,
+    encode_cell,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,15 @@ class Dataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def ranks(self) -> "ColumnRanks":
+        """Each column's distinct values and each cell's index among them.
+
+        Computed on first use and then shared, read-only, by every tree
+        trained on this dataset.
+        """
+        return ColumnRanks(self.X)
+
     def label_marginals(self) -> np.ndarray:
         counts = np.bincount(self.y, minlength=self.schema.n_labels)
         return counts / counts.sum()
@@ -67,6 +85,28 @@ class Dataset:
                 )
             )
         )
+
+
+class ColumnRanks:
+    """Per-column sorted distinct values and the rank of every cell.
+
+    Column j's distinct values are ``values[start[j]:start[j + 1]]`` in
+    ascending order, and ``rank[i, j]`` is the index of ``X[i, j]`` among
+    them, so comparing ranks compares values.
+    """
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        self.rank = np.empty((n, d), dtype=np.int32)
+        columns = []
+        for j in range(d):
+            distinct, self.rank[:, j] = np.unique(X[:, j], return_inverse=True)
+            columns.append(distinct)
+        self.n_values = np.array([c.size for c in columns], dtype=np.int64)
+        self.start = np.concatenate(([0], np.cumsum(self.n_values)))
+        self.values = np.concatenate(columns)
+        for a in (self.rank, self.n_values, self.start, self.values):
+            a.flags.writeable = False
 
 
 def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> None:
@@ -122,7 +162,14 @@ def load_unlabeled_csv(path, schema: FeatureSchema):
     return X, y, groups
 
 
+#: Records parsed together; bounds the cell strings held at once.
+CSV_CHUNK_ROWS = 128
+
+
 def _parse_csv(path, schema: FeatureSchema, require_label: bool):
+    """Column by column, in chunks of rows. The first bad input in file
+    order (row, then the row's cells in schema order, then its label)
+    raises the DataError a row-by-row read would."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -150,38 +197,102 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
             schema.group_attribute is not None and schema.group_attribute in header
         )
 
-        rows, labels, groups = [], [], []
-        for rownum, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise DataError(f"row {rownum}: expected {len(header)} cells,"
-                                f" got {len(record)}", row=rownum)
-            encoded = np.empty(schema.n_features)
+        blocks, labels, groups = [], [], []
+        done = 0  # rows before this chunk
+        while chunk := list(islice(reader, CSV_CHUNK_ROWS)):
+            lengths = np.fromiter(map(len, chunk), dtype=np.int64,
+                                  count=len(chunk))
+            bad = np.flatnonzero(lengths != len(header))
+            good = chunk[:bad[0]] if bad.size else chunk
+            columns = list(zip(*good)) if good else [()] * len(header)
+            errors = []  # (row, position in the row, error)
+            if bad.size:
+                r = done + int(bad[0]) + 1
+                errors.append((r, -1, DataError(
+                    f"row {r}: expected {len(header)} cells,"
+                    f" got {len(chunk[bad[0]])}", row=r)))
+            block = np.empty((len(good), schema.n_features))
             for j, spec in enumerate(schema.specs):
-                cell = record[col_of[spec.name]]
-                try:
-                    encoded[j] = encode_cell(spec, cell)
-                except ValueError as exc:
-                    raise DataError(
-                        f"row {rownum}, column {spec.name}: {exc}",
-                        row=rownum, column=spec.name,
-                    ) from None
-            rows.append(encoded)
+                fault = _encode_column(spec, columns[col_of[spec.name]],
+                                       block[:, j])
+                if fault is not None:
+                    r = done + fault[0] + 1
+                    errors.append((r, j, DataError(
+                        f"row {r}, column {spec.name}: {fault[1]}",
+                        row=r, column=spec.name)))
             if has_label:
-                cell = record[col_of[LABEL_COLUMN]].strip()
-                if cell not in schema.label_set:
-                    raise DataError(
-                        f"row {rownum}: label {cell!r} not in"
+                codes, fault = _encode_labels(schema, columns[col_of[LABEL_COLUMN]])
+                if fault is not None:
+                    r = done + fault[0] + 1
+                    errors.append((r, schema.n_features, DataError(
+                        f"row {r}: label {fault[1]!r} not in"
                         f" {'/'.join(schema.label_set)}",
-                        row=rownum, column=LABEL_COLUMN,
-                    )
-                labels.append(schema.label_set.index(cell))
+                        row=r, column=LABEL_COLUMN)))
+                labels.append(codes)
+            if errors:
+                raise min(errors, key=lambda e: e[:2])[2]
+            blocks.append(block)
             if has_group:
-                groups.append(record[col_of[schema.group_attribute]].strip())
+                groups += map(str.strip, columns[col_of[schema.group_attribute]])
+            done += len(chunk)
 
-    X = np.asarray(rows) if rows else np.empty((0, schema.n_features))
-    y = np.asarray(labels, dtype=np.int64) if has_label else None
+    X = np.concatenate(blocks) if blocks else np.empty((0, schema.n_features))
+    y = (np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
+         ) if has_label else None
     g = np.asarray(groups, dtype=object) if has_group else None
     return X, y, g
+
+
+def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):
+    """Write encode_cell of each cell into ``out``; return None, or the
+    (index, reason) of the first cell encode_cell rejects.
+
+    Most columns convert in one pass of C-level conversions plus one
+    vectorised check. A column that fails it (a blank, an unknown or
+    padded category, a bad value) is walked cell by cell with
+    encode_cell, which also finds the bad cell and its reason.
+    """
+    try:
+        if spec.kind in SUBSET_KINDS:
+            codes = {c: float(i) for i, c in enumerate(spec.categories)}
+            out[:] = np.fromiter(map(codes.__getitem__, cells), dtype=float,
+                                 count=len(cells))
+            return None
+        if spec.kind == "count":
+            out[:] = np.fromiter(map(float, map(int, cells)), dtype=float,
+                                 count=len(cells))
+            ok = out >= 0
+        else:
+            out[:] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+            ok = out >= 0 if spec.kind == "years-since" else np.isfinite(out)
+        if ok.all():
+            return None
+    except (KeyError, ValueError):
+        pass
+    for i, cell in enumerate(cells):
+        try:
+            out[i] = encode_cell(spec, cell)
+        except ValueError as exc:
+            return i, str(exc)
+    return None
+
+
+def _encode_labels(schema: FeatureSchema, cells):
+    """(label indices, None), or (None, (index, stripped text)) of the
+    first cell that names no label."""
+    index = {name: i for i, name in enumerate(schema.label_set)}
+    try:
+        return np.fromiter(map(index.__getitem__, cells), dtype=np.int64,
+                           count=len(cells)), None
+    except KeyError:
+        pass
+    codes = np.empty(len(cells), dtype=np.int64)
+    for i, cell in enumerate(cells):
+        text = cell.strip()
+        if text not in index:
+            return None, (i, text)
+        codes[i] = index[text]
+    return codes, None
 
 
 def write_csv(dataset: Dataset, path) -> None:

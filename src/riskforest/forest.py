@@ -55,6 +55,8 @@ class ForestConfig:
             raise DataError("n_trees must be >= 1")
         if self.bootstrap_size is not None and self.bootstrap_size < 1:
             raise DataError("bootstrap_size must be >= 1")
+        if self.feature_subset_size is not None and self.feature_subset_size < 1:
+            raise DataError("feature_subset_size must be >= 1")
         if self.class_weights is not None:
             cw = tuple(float(w) for w in self.class_weights)
             if any(w <= 0 for w in cw):
@@ -65,10 +67,13 @@ class ForestConfig:
         """Fill data-dependent defaults so the config is fully explicit."""
         return replace(
             self,
-            class_weights=self.class_weights or (1.0,) * data.schema.n_labels,
-            feature_subset_size=self.feature_subset_size
-            or default_feature_subset_size(data.schema.n_features),
-            bootstrap_size=self.bootstrap_size or len(data),
+            class_weights=((1.0,) * data.schema.n_labels
+                           if self.class_weights is None else self.class_weights),
+            feature_subset_size=(
+                default_feature_subset_size(data.schema.n_features)
+                if self.feature_subset_size is None else self.feature_subset_size),
+            bootstrap_size=(len(data) if self.bootstrap_size is None
+                            else self.bootstrap_size),
         )
 
 

@@ -3,21 +3,42 @@
 Each internal node tests one feature: numeric-like kinds (numeric,
 count, years-since) split on "value <= threshold", categorical and
 binary kinds on "value in subset". Candidate thresholds are midpoints
-between consecutive distinct sorted values. Categorical candidates are
-exhaustive two-way partitions when at most 12 categories are present at
-the node; beyond that, categories are ordered by their weight fraction
-on the highest-risk class and prefixes of that ordering are scanned.
+between consecutive distinct values present at the node. Categorical
+candidates are exhaustive two-way partitions when at most 12 categories
+are present at the node; beyond that, categories are ordered by their
+weight fraction on the highest-risk class and prefixes of that ordering
+are scanned.
 
 Class weighting alters the prior over outcomes: a class's weight
 multiplies its rows inside both the impurity computation and the leaf
 counts, which is how asymmetric error costs enter training without any
 resampling.
 
-Determinism contract: candidate splits whose scores agree within a
-small tolerance count as tied, and ties resolve to the lowest feature
-index, then the lowest threshold or the lexicographically smallest
-pinned subset. Training is a pure function of (data view, parameters,
-seed).
+A tree grows one depth level at a time, breadth first over columns
+ranked once per dataset (``Dataset.ranks``), as in SLIQ (Mehta et al.,
+EDBT 1996), while the candidates stay the exact ones of CART. A level
+reduces every (row, sampled feature) pair of its splittable nodes to
+cells, one per (node, feature, distinct value), holding raw class
+counts. One cumulative sum over the cells scores every threshold and
+every ordered prefix of the level, and the exhaustive subset search runs
+batched by the number of categories present. No Python loop runs per
+node or per (node, feature).
+
+Each node's feature sample is a pure function of the tree seed and the
+node's path: the root's key is splitmix64(seed), a child's is
+splitmix64(3 * parent key + side), side 1 on the left and 2 on the
+right, and the node takes the m features j with the smallest
+splitmix64(key ^ splitmix64(j)), ties to the lower index. The order in
+which nodes grow therefore cannot change a tree, and a tree grown to
+depth k is the top k levels of the same tree grown deeper.
+
+Determinism contract: within one feature, candidates whose scores agree
+within SCORE_TIE_REL times the node's weight count as tied and the
+earliest wins: the lowest threshold, the lexicographically smallest
+subset with the first present category pinned left, or the shortest
+prefix. Across the sampled features, in ascending index order, a feature
+replaces the best so far only when it beats it by more than that
+tolerance. Training is a pure function of (data view, parameters, seed).
 """
 
 from __future__ import annotations
@@ -28,12 +49,24 @@ from math import ceil, inf, sqrt
 
 import numpy as np
 
-from .data.dataset import Dataset
+from .data.dataset import ColumnRanks, Dataset
 from .data.schema import NUMERIC_KINDS
 from .errors import DataError, SchemaError
 
 #: Relative score tolerance below which two splits count as tied.
 SCORE_TIE_REL = 1e-9
+
+#: Most categories present at a node for which every two-way partition is
+#: scored; with more, prefixes of the risk-ordered categories are scanned.
+MAX_EXHAUSTIVE_CATEGORIES = 12
+
+#: (row, sampled feature) pairs one pass of the level search reduces
+#: together. It bounds the search's temporary arrays; a node with more
+#: pairs than this is a pass of its own.
+LEVEL_BLOCK_PAIRS = 1 << 16
+
+#: (segment, subset) scores one pass of the exhaustive subset search holds.
+MASK_BLOCK = 1 << 12
 
 FORMAT_LINE = "riskforest-tree v1"
 
@@ -84,13 +117,14 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     """Grow a tree on ``data`` (optionally restricted to a row-index multiset).
 
     ``row_indices`` may repeat indices, which is how bootstrap draws feed
-    in: a repeated row simply counts multiple times. At every node
-    ``feature_subset_size`` features are sampled without replacement from
-    the seeded generator; recursion stops at ``max_depth``, on pure
-    nodes, when no candidate improves impurity, or when a child would
-    hold fewer than ``min_leaf`` rows.
+    in: a repeated row simply counts multiple times. The tree grows one
+    depth level at a time, searching all splittable nodes of a level
+    together. Each node samples ``feature_subset_size`` features without
+    replacement, keyed by ``seed`` and the node's path from the root, so
+    a node's sample does not depend on any other node. Growth stops at
+    ``max_depth``, on pure nodes, when no candidate improves impurity, or
+    when a child would hold fewer than ``min_leaf`` rows.
     """
-    X, y = data.X, data.y
     K = data.schema.n_labels
     cw = np.asarray(class_weights, dtype=float)
     if cw.shape != (K,):
@@ -108,157 +142,353 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     if idx.size == 0:
         raise DataError("cannot train on an empty row set")
 
-    kinds = [spec.kind for spec in data.schema.specs]
-    n_cats = [len(spec.categories) for spec in data.schema.specs]
-    rng = np.random.default_rng(seed)
-    return _grow(X, y, idx, 0, kinds, n_cats, K, cw, m, min_leaf, max_depth, rng)
+    subset_kind = np.array([spec.kind not in NUMERIC_KINDS
+                            for spec in data.schema.specs])
+    grower = _LevelGrower(data.ranks, data.y, subset_kind, cw, m, min_leaf)
+    return grower.grow(idx, max_depth, seed)
 
 
-def _grow(X, y, idx, depth, kinds, n_cats, K, cw, m, min_leaf, max_depth, rng):
-    ynode = y[idx]
-    counts = np.bincount(ynode, minlength=K).astype(float)
-    wcounts = counts * cw
-    leaf = TreeNode(class_weights=wcounts)
-    if depth >= max_depth or idx.size < 2 * min_leaf:
-        return leaf
-    if np.count_nonzero(counts) <= 1:
-        return leaf
-
-    features = np.sort(rng.choice(len(kinds), size=m, replace=False))
-    W = wcounts.sum()
-    parent_score = float(wcounts @ wcounts) / W
-    tol = SCORE_TIE_REL * W
-    best = None  # (score, rule, left_mask_builder args)
-
-    for j in features:
-        v = X[idx, j]
-        if kinds[j] in NUMERIC_KINDS:
-            found = _best_numeric(v, ynode, K, cw, min_leaf)
-        else:
-            found = _best_subset(v, ynode, K, cw, min_leaf, n_cats[j])
-        if found is None:
-            continue
-        score, rule_args = found
-        if best is None or score > best[0] + tol:
-            best = (score, int(j), rule_args)
-
-    if best is None or best[0] <= parent_score + tol:
-        return leaf
-
-    _, j, rule_args = best
-    if rule_args[0] == "threshold":
-        rule = SplitRule(feature_index=j, threshold=rule_args[1])
-        mask = X[idx, j] <= rule.threshold
-    else:
-        rule = SplitRule(feature_index=j, subset=rule_args[1])
-        mask = np.isin(X[idx, j].astype(np.int64), rule_args[2])
-    left = _grow(X, y, idx[mask], depth + 1, kinds, n_cats, K, cw, m,
-                 min_leaf, max_depth, rng)
-    right = _grow(X, y, idx[~mask], depth + 1, kinds, n_cats, K, cw, m,
-                  min_leaf, max_depth, rng)
-    return TreeNode(rule=rule, left=left, right=right)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of a uint64 array, in wrapping arithmetic."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _best_numeric(v, ynode, K, cw, min_leaf):
-    """Best threshold by the sum-of-squares score; None if no cut is legal.
+def _sample_features(keys: np.ndarray, n_features: int, m: int) -> np.ndarray:
+    """(len(keys), m) ascending indices of the features each node samples."""
+    draws = _splitmix64(keys[:, None]
+                        ^ _splitmix64(np.arange(n_features, dtype=np.uint64)))
+    return np.sort(np.argsort(draws, axis=1, kind="stable")[:, :m], axis=1)
 
-    Maximizing sum_k wL_k^2/WL + sum_k wR_k^2/WR over cut points is
-    equivalent to maximizing the weighted-Gini decrease.
+
+def _child_keys(keys: np.ndarray) -> np.ndarray:
+    """Path keys of the children, left and right of each node in turn."""
+    base = keys * np.uint64(3)
+    return np.stack((_splitmix64(base + np.uint64(1)),
+                     _splitmix64(base + np.uint64(2))), axis=1).ravel()
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) over the (s, n) pairs."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
+def _first_near_best(score: np.ndarray, group: np.ndarray,
+                     tol: np.ndarray) -> np.ndarray:
+    """Per group, the earliest candidate within tol[group] of the group's
+    best score; ``group`` is sorted. Groups whose scores are all -inf
+    have none.
     """
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    if sv[0] == sv[-1]:
-        return None
-    sy = ynode[order]
-    n = sv.shape[0]
-    M = np.zeros((n, K))
-    M[np.arange(n), sy] = cw[sy]
-    cums = np.cumsum(M, axis=0)
-    tot = cums[-1]
-    cut = np.flatnonzero(sv[:-1] < sv[1:])  # left side = rows [0..i]
-    if min_leaf > 1:
-        cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
-    if cut.size == 0:
-        return None
-    L = cums[cut]
-    R = tot - L
-    score = (L * L).sum(axis=1) / L.sum(axis=1) + (R * R).sum(axis=1) / R.sum(axis=1)
-    pos = _first_within_tol(score, SCORE_TIE_REL * tot.sum())
-    i = int(cut[pos])
-    threshold = (sv[i] + sv[i + 1]) / 2.0
-    return float(score[pos]), ("threshold", threshold)
+    heads = np.flatnonzero(np.diff(group, prepend=-1))
+    top = np.maximum.reduceat(score, heads)
+    bar = np.repeat(top - tol[group[heads]], np.diff(heads, append=group.size))
+    near = np.flatnonzero(score > bar)
+    return near[np.diff(group[near], prepend=-1) != 0]
 
 
-def _first_within_tol(score: np.ndarray, tol: float) -> int:
-    """Earliest candidate within tolerance of the best score.
+def _best_feature(score: np.ndarray, tol: np.ndarray):
+    """(best score, its column) of each row of a (nodes, m) score matrix.
 
-    Scan order is the tie-break order, so near-ties (float noise between
-    algebraically equal splits) resolve to the earliest candidate.
+    Columns are taken in order, and one replaces the best so far only
+    when it beats it by more than the row's ``tol``. This is not "the
+    first column within tol of the row's maximum": scores rising by less
+    than tol at each step can end more than tol above the first.
     """
-    return int(np.argmax(score > score.max() - tol))
+    best = np.full(score.shape[0], -np.inf)
+    k_best = np.zeros(score.shape[0], dtype=np.int64)
+    for k in range(score.shape[1]):
+        better = score[:, k] > best + tol
+        best = np.where(better, score[:, k], best)
+        k_best = np.where(better, k, k_best)
+    return best, k_best
 
 
 # Cache of mask orderings that realize lexicographic subset tie-breaks.
-_LEX_MASKS: dict[int, np.ndarray] = {}
+_LEX_MASKS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _lex_mask_order(c: int) -> np.ndarray:
-    """Masks over categories 1..c-1 (category 0 pinned left), lex-sorted."""
+def _lex_masks(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over categories 1..c-1 (category 0 pinned left), in the
+    lexicographic order of their member lists, and their bits as a float
+    (masks, c - 1) matrix. The all-ones mask is left out: it is improper.
+    """
     if c not in _LEX_MASKS:
-        masks = np.arange(2 ** (c - 1) - 1)  # all-ones mask excluded: improper
-        keys = [tuple(b for b in range(c - 1) if mask >> b & 1) for mask in masks]
-        _LEX_MASKS[c] = masks[sorted(range(masks.size), key=keys.__getitem__)]
+        n = c - 1
+        # Depth-first order: a member list comes right before its
+        # extensions, which come in order of the next member.
+        order = np.zeros(1, dtype=np.int64)  # over bits >= b, from b = n down
+        for b in range(n - 1, -1, -1):
+            order = np.concatenate(([0], (1 << b) | order, order[1:]))
+        masks = order[order != (1 << n) - 1]
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        _LEX_MASKS[c] = masks, bits
     return _LEX_MASKS[c]
 
 
-def _best_subset(v, ynode, K, cw, min_leaf, n_categories):
-    vi = v.astype(np.int64)
-    wrow = cw[ynode]
-    wmat = np.bincount(ynode * n_categories + vi, weights=wrow,
-                       minlength=K * n_categories).reshape(K, n_categories)
-    raw = np.bincount(vi, minlength=n_categories)
-    present = np.flatnonzero(raw > 0)
-    c = present.size
-    if c < 2:
-        return None
-    wp = wmat[:, present]  # K x c weighted counts
-    rawp = raw[present].astype(np.int64)
-    tot_w = wp.sum(axis=1)
-    n = vi.shape[0]
+class _LevelGrower:
+    """Grows one tree level by level over a dataset's ranked columns."""
 
-    if c <= 12:
-        masks = _lex_mask_order(c)
-        bits = (masks[:, None] >> np.arange(c - 1)) & 1  # n_masks x (c-1)
-        L = bits @ wp[:, 1:].T + wp[:, 0]  # n_masks x K
-        rawL = bits @ rawp[1:] + rawp[0]
-        subsets_iter = ("mask", masks, bits)
-    else:
-        # heuristic: order by highest-risk-class weight fraction, scan prefixes
-        frac = wp[0] / wp.sum(axis=0)
-        order = np.lexsort((present, -frac))  # desc fraction, asc index on ties
-        cum_w = np.cumsum(wp[:, order], axis=1)[:, :-1]  # prefixes 1..c-1
-        L = cum_w.T
-        rawL = np.cumsum(rawp[order])[:-1]
-        subsets_iter = ("prefix", order, None)
+    def __init__(self, ranks: ColumnRanks, y, subset_kind, cw, m, min_leaf):
+        self.ranks = ranks
+        self.d = ranks.rank.shape[1]
+        self.rank = ranks.rank.ravel()  # a view: the table is C-contiguous
+        self.y = y
+        self.subset_kind = subset_kind
+        self.cw = cw
+        self.K = cw.size
+        self.m = m
+        self.min_leaf = min_leaf
 
-    R = tot_w - L
-    rawR = n - rawL
-    ok = (rawL >= min_leaf) & (rawR >= min_leaf)
-    if not ok.any():
-        return None
-    WL = L.sum(axis=1)
-    WR = R.sum(axis=1)
-    score = np.where(ok, (L * L).sum(axis=1) / WL + (R * R).sum(axis=1) / WR,
-                     -np.inf)
-    pos = _first_within_tol(score, SCORE_TIE_REL * tot_w.sum())
-    kind, a, b = subsets_iter
-    if kind == "mask":
-        chosen = [present[0]] + [int(present[1 + bpos])
-                                 for bpos in range(c - 1) if a[pos] >> bpos & 1]
-    else:
-        chosen = [int(present[k]) for k in a[: pos + 1]]
-    members = np.array(sorted(chosen), dtype=np.int64)
-    return float(score[pos]), ("subset", frozenset(int(x) for x in members), members)
+    def grow(self, rows: np.ndarray, max_depth: int, seed: int) -> TreeNode:
+        """The tree grown from the row multiset ``rows``.
+
+        A level's nodes hold consecutive runs of ``rows``; the children of
+        its i-th split are nodes 2i and 2i + 1 of the next level.
+        """
+        K = self.K
+        keys = _splitmix64(np.array([seed % (1 << 64)], dtype=np.uint64))
+        sizes = np.array([rows.size])
+        levels = []
+        for depth in range(max_depth + 1):
+            n_nodes = sizes.size
+            node_of_row = np.repeat(np.arange(n_nodes), sizes)
+            counts = np.bincount(node_of_row * K + self.y[rows],
+                                 minlength=n_nodes * K).reshape(n_nodes, K)
+            weights = counts * self.cw
+            if depth == max_depth:
+                levels.append((weights, None))
+                break
+            open_nodes = np.flatnonzero((sizes >= 2 * self.min_leaf)
+                                        & (np.count_nonzero(counts, axis=1) > 1))
+            starts = np.cumsum(sizes) - sizes
+            found = self._search(rows, starts, sizes, open_nodes, counts,
+                                 weights, keys)
+            levels.append((weights, found[:4]))
+            split, go_left = found[0], found[4]
+            if split.size == 0:
+                break
+            order = np.zeros(n_nodes, dtype=np.int64)
+            order[split] = np.arange(split.size)
+            at = _ranges(starts[split], sizes[split])
+            child = 2 * order[node_of_row[at]] + ~go_left
+            rows = rows[at][np.argsort(child, kind="stable")]
+            sizes = np.bincount(child, minlength=2 * split.size)
+            keys = _child_keys(keys[split])
+        return _assemble(levels)
+
+    def _search(self, rows, starts, sizes, nodes, counts, weights, keys):
+        """(split, feature, threshold, members, go_left) for the level.
+
+        ``split`` lists the nodes among ``nodes`` that split, on
+        ``feature`` at ``threshold`` (NaN for subset splits) or into
+        ``members`` (a list of category-code arrays, empty for threshold
+        splits); ``go_left`` routes their rows, node after node.
+        """
+        if nodes.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), [], np.empty(0, dtype=bool)
+        pairs = sizes[nodes] * self.m
+        block = (np.cumsum(pairs) - pairs) // LEVEL_BLOCK_PAIRS
+        parts = []
+        for b in np.split(nodes, np.flatnonzero(np.diff(block)) + 1):
+            split, *rest = self._search_block(
+                rows[_ranges(starts[b], sizes[b])], sizes[b], counts[b],
+                weights[b], keys[b])
+            parts.append((b[split], *rest))
+        if len(parts) == 1:
+            return parts[0]
+        split, feature, threshold, members, go_left = zip(*parts)
+        return (np.concatenate(split), np.concatenate(feature),
+                np.concatenate(threshold), [a for p in members for a in p],
+                np.concatenate(go_left))
+
+    def _scores(self, left, n_left, total, n):
+        """Sum-of-squares score of each candidate from its raw left class
+        counts and rows and its node's raw class counts and rows; -inf
+        where a side holds fewer than min_leaf rows. Class counts are
+        class-major: ``left[k]`` holds class k.
+
+        Maximizing sum_k wL_k^2/WL + sum_k wR_k^2/WR over candidates is
+        equivalent to maximizing the weighted-Gini decrease. The sums run
+        over classes in order, one array operation per class.
+        """
+        wl = wr = sl = sr = 0.0
+        for k in range(self.K):
+            lk = left[k] * self.cw[k]
+            rk = (total[k] - left[k]) * self.cw[k]
+            wl, wr = wl + lk, wr + rk
+            sl, sr = sl + lk * lk, sr + rk * rk
+        ok = (n_left >= self.min_leaf) & (n - n_left >= self.min_leaf)
+        return np.where(ok, sl / wl + sr / wr, -np.inf)
+
+    def _cells(self, rows, node, feats):
+        """(cell_seg, cell_rank, cnt, cell_n, pair_cell) of some nodes.
+
+        ``rows`` are the nodes' rows, node after node, ``node[i]`` the
+        node of row i and ``feats`` the (nodes, m) sampled features.
+        Segment s is node s // m with feature ``feats.flat[s]``. Its cells
+        are the distinct values the feature takes on the node's rows, in
+        value order: cell i belongs to segment ``cell_seg[i]``, holds the
+        ``cell_rank[i]``-th distinct value of the feature's column, and
+        has raw class counts ``cnt[:, i]`` over ``cell_n[i]`` rows. Row i
+        and its node's k-th feature fall in cell ``pair_cell[i, k]``.
+        """
+        K = self.K
+        # Each (row, feature) pair falls in the bin of the row's value
+        # rank; each segment's bins follow the previous segment's.
+        n_bins = self.ranks.n_values[feats]
+        bin0 = np.cumsum(n_bins).reshape(n_bins.shape) - n_bins
+        key = bin0[node] + self.rank[rows[:, None] * self.d + feats[node]]
+        y = self.y[rows][:, None]
+        total_bins = int(n_bins.sum())
+        if total_bins <= 2 * key.size:  # dense enough for one bincount
+            cell_n = np.bincount(key.ravel(), minlength=total_bins)
+            occupied = cell_n > 0
+            cell_bin = np.flatnonzero(occupied)
+            cnt = np.bincount((y * total_bins + key).ravel(),
+                              minlength=K * total_bins
+                              ).reshape(K, total_bins)[:, cell_bin]
+            cell_n = cell_n[cell_bin]
+            pair_cell = (np.cumsum(occupied) - 1)[key]
+        else:
+            cell_bin, pair_cell, cell_n = np.unique(key.ravel(), return_inverse=True,
+                                                    return_counts=True)
+            pair_cell = pair_cell.reshape(key.shape)
+            cnt = np.bincount((y * cell_bin.size + pair_cell).ravel(),
+                              minlength=K * cell_bin.size).reshape(K, -1)
+        cell_seg = np.searchsorted(bin0.ravel(), cell_bin, side="right") - 1
+        return cell_seg, cell_bin - bin0.flat[cell_seg], cnt, cell_n, pair_cell
+
+    def _search_block(self, rows, sizes, counts, weights, keys):
+        """_search over some of the level's splittable nodes, whose rows
+        are ``rows``, node after node; ``split`` indexes these nodes.
+
+        Segment s is node s // m and its (s % m)-th sampled feature. Each
+        segment's cells are scanned in value order, except that subset
+        segments with more than MAX_EXHAUSTIVE_CATEGORIES categories are
+        scanned in risk order; a threshold or prefix candidate sends the
+        cells up to one scan position left.
+        """
+        m, cw, ranks = self.m, self.cw, self.ranks
+        n_nodes = sizes.size
+        W = weights.sum(axis=1)
+        tol = SCORE_TIE_REL * W
+        feats = _sample_features(keys, self.d, m)
+        seg_feat = feats.ravel()
+        seg_node = np.repeat(np.arange(n_nodes), m)
+        seg_n = sizes[seg_node]
+        node = np.repeat(np.arange(n_nodes), sizes)
+        cell_seg, cell_rank, cnt, cell_n, pair_cell = self._cells(rows, node, feats)
+        seg_c = np.bincount(cell_seg, minlength=seg_feat.size)
+        seg_c0 = np.cumsum(seg_c) - seg_c
+        subset = self.subset_kind[seg_feat]
+        masked = subset & (seg_c > 2) & (seg_c <= MAX_EXHAUSTIVE_CATEGORIES)
+        prefix = subset & (seg_c > MAX_EXHAUSTIVE_CATEGORIES)
+
+        seq = np.arange(cell_seg.size)  # the cell at each scan position
+        if prefix.any():
+            # Descending weight fraction on the highest-risk class, ties
+            # to the lower category code.
+            pc = np.flatnonzero(prefix[cell_seg])
+            w = cnt[:, pc] * cw[:, None]
+            frac = w[0] / w.sum(axis=0)
+            seq[pc] = pc[np.lexsort((cell_rank[pc], -frac, cell_seg[pc]))]
+            cnt_seq, n_seq = cnt[:, seq], cell_n[seq]
+        else:
+            cnt_seq, n_seq = cnt, cell_n
+
+        score = np.full(seg_feat.size, -np.inf)
+        pick = np.zeros(seg_feat.size, dtype=np.int64)  # last left position, or mask
+        # Only cuts leaving min_leaf rows on both sides are scored.
+        cum = np.cumsum(cnt_seq, axis=1)
+        rows_left = np.cumsum(n_seq)
+        rows_left -= (rows_left - n_seq)[seg_c0][cell_seg]
+        cut = np.flatnonzero(~masked[cell_seg]
+                             & (rows_left >= self.min_leaf)
+                             & (rows_left <= seg_n[cell_seg] - self.min_leaf))
+        if cut.size:
+            group = cell_seg[cut]
+            before = cum[:, seg_c0] - cnt_seq[:, seg_c0]
+            sc = self._scores(cum[:, cut] - before[:, group], rows_left[cut],
+                              counts.T[:, seg_node[group]], seg_n[group])
+            first = _first_near_best(sc, group, tol[seg_node])
+            score[group[first]] = sc[first]
+            pick[group[first]] = cut[first]
+        for c in np.flatnonzero(np.bincount(seg_c[masked])).tolist():
+            masks, bits = _lex_masks(c)
+            segs = np.flatnonzero(masked & (seg_c == c))
+            step = max(1, MASK_BLOCK // masks.size)
+            for s in np.split(segs, np.arange(step, segs.size, step)):
+                at = seg_c0[s, None] + np.arange(c)
+                C = cnt[:, at].astype(float)  # (K, segments, c)
+                N = cell_n[at].astype(float)
+                sc = self._scores(C[..., :1] + C[..., 1:] @ bits.T,
+                                  N[:, :1] + N[:, 1:] @ bits.T,
+                                  counts.T[:, seg_node[s], None], seg_n[s, None])
+                top = sc.max(axis=1)
+                first = np.argmax(sc > (top - tol[seg_node[s]])[:, None], axis=1)
+                score[s] = sc[np.arange(s.size), first]
+                pick[s] = masks[first]
+
+        best, k_best = _best_feature(score.reshape(n_nodes, m), tol)
+        parent = (weights * weights).sum(axis=1) / W
+        split = np.flatnonzero(best > parent + tol)
+        win = split * m + k_best[split]
+        feature = seg_feat[win]
+
+        # Scan positions of the winning segments that go left, and the
+        # rows in their cells.
+        is_win = np.zeros(seg_feat.size, dtype=bool)
+        is_win[win] = True
+        wp = np.flatnonzero(is_win[cell_seg])
+        ws = cell_seg[wp]
+        place = wp - seg_c0[ws]
+        goes = np.where(masked[ws],
+                        (place == 0) | (pick[ws] >> np.maximum(place - 1, 0) & 1 == 1),
+                        wp <= pick[ws])
+        cell_left = np.zeros(cell_seg.size, dtype=bool)
+        cell_left[seq[wp]] = goes
+        splits = np.zeros(n_nodes, dtype=bool)
+        splits[split] = True
+        moved = np.flatnonzero(splits[node])
+        go_left = cell_left[pair_cell[moved, k_best[node[moved]]]]
+
+        numeric = ~self.subset_kind[feature]
+        threshold = np.full(split.size, np.nan)
+        last = pick[win[numeric]]
+        v0 = ranks.start[feature[numeric]]
+        threshold[numeric] = (ranks.values[v0 + cell_rank[last]]
+                              + ranks.values[v0 + cell_rank[last + 1]]) / 2.0
+        into = goes & subset[ws]
+        codes = ranks.values[ranks.start[seg_feat[ws[into]]]
+                             + cell_rank[seq[wp[into]]]]
+        members = (np.split(codes.astype(np.int64),
+                            np.searchsorted(ws[into], win[1:]))
+                   if split.size else [])
+        return split, feature, threshold, members, go_left
+
+
+def _assemble(levels) -> TreeNode:
+    """Linked nodes from per-level (weights, splits), deepest level first."""
+    below: list[TreeNode] = []
+    for weights, found in reversed(levels):
+        nodes = [None] * len(weights)
+        if found is not None:
+            split, feature, threshold, members = found
+            for j, (i, f, t) in enumerate(zip(split.tolist(), feature.tolist(),
+                                              threshold.tolist())):
+                rule = (SplitRule(f, subset=frozenset(members[j].tolist()))
+                        if members[j].size else SplitRule(f, threshold=t))
+                nodes[i] = TreeNode(rule=rule, left=below[2 * j],
+                                    right=below[2 * j + 1])
+        for i, node in enumerate(nodes):
+            if node is None:
+                nodes[i] = TreeNode(class_weights=weights[i])
+        below = nodes
+    return below[0]
 
 
 # -- flat node table ----------------------------------------------------

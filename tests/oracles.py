@@ -22,8 +22,45 @@ def _score(weighted_counts):
     return sum(w * w for w in weighted_counts) / total
 
 
+def prefix_subset_oracle(codes, y, class_weights, min_leaf, tol):
+    """Best ordered-prefix subset of one categorical column at one node.
+
+    Categories present are ordered by descending weight fraction on
+    label 0, ties to the lower code; the prefixes of 1..c-1 categories
+    are the candidates, and the earliest within ``tol`` of the best
+    wins. Returns (score, members) or None when no prefix is legal.
+    """
+    present = sorted(set(codes))
+    weight = {c: [0.0] * len(class_weights) for c in present}
+    rows = {c: 0 for c in present}
+    for c, label in zip(codes, y):
+        weight[c][label] += class_weights[label]
+        rows[c] += 1
+    order = sorted(present, key=lambda c: (-weight[c][0] / sum(weight[c]), c))
+    candidates = []
+    for size in range(1, len(order)):
+        members = order[:size]
+        left = [0.0] * len(class_weights)
+        right = [0.0] * len(class_weights)
+        n_left = 0
+        for c in present:
+            side = left if c in members else right
+            for k, w in enumerate(weight[c]):
+                side[k] += w
+            n_left += rows[c] if c in members else 0
+        if n_left < min_leaf or len(codes) - n_left < min_leaf:
+            continue
+        candidates.append((_score(left) + _score(right), frozenset(members)))
+    if not candidates:
+        return None
+    top = max(score for score, _ in candidates)
+    return next((score, members) for score, members in candidates
+                if score > top - tol)
+
+
 def greedy_tree_oracle(X, y, kinds, K, class_weights, min_leaf, max_depth):
-    """Exhaustive greedy tree: every feature, every threshold, every subset."""
+    """Exhaustive greedy tree: every feature, every threshold, and every
+    subset of at most 12 present categories (ordered prefixes beyond)."""
     X = [list(map(float, row)) for row in np.asarray(X)]
     y = [int(v) for v in y]
     cw = list(map(float, class_weights))
@@ -55,6 +92,15 @@ def greedy_tree_oracle(X, y, kinds, K, class_weights, min_leaf, max_depth):
                     sc = _score(weighted(left)) + _score(weighted(right))
                     if best is None or sc > best[0] + tol:
                         best = (sc, j, ("threshold", t), left, right)
+            elif len(values) > 12:
+                codes = [int(X[r][j]) for r in rows]
+                found = prefix_subset_oracle(codes, [y[r] for r in rows], cw,
+                                             min_leaf, tol)
+                if found is not None and (best is None or found[0] > best[0] + tol):
+                    chosen = found[1]
+                    left = [r for r in rows if int(X[r][j]) in chosen]
+                    right = [r for r in rows if int(X[r][j]) not in chosen]
+                    best = (found[0], j, ("subset", chosen), left, right)
             else:
                 present = sorted(int(v) for v in values)
                 if len(present) < 2:

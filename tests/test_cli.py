@@ -236,3 +236,24 @@ def test_malformed_model_exits_one_with_located_message(tmp_path, pipeline_dirs,
                str(gen / "synthetic.csv"), "--out", str(tmp_path / "pr")) == 1
     err = capsys.readouterr().err
     assert "line" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_train_rejects_thread_count_below_one(tmp_path, pipeline_dirs, capsys,
+                                              threads):
+    gen, _ = pipeline_dirs
+    assert run("train", "--data", str(gen / "synthetic.csv"), "--trees", "2",
+               "--seed", "5", "--threads", threads,
+               "--out", str(tmp_path / "t")) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_train_rejects_feature_subset_zero(tmp_path, pipeline_dirs, capsys):
+    gen, _ = pipeline_dirs
+    assert run("train", "--data", str(gen / "synthetic.csv"), "--trees", "2",
+               "--seed", "5", "--feature-subset", "0",
+               "--out", str(tmp_path / "t")) == 1
+    err = capsys.readouterr().err
+    assert "feature_subset_size" in err and "Traceback" not in err
+    assert not (tmp_path / "t").exists()

@@ -293,3 +293,64 @@ def test_k_anonymity_monotone_in_quasi_identifiers(rows, q1, q2):
     k_small = k_anonymity(rows, sorted(q1))
     k_big = k_anonymity(rows, sorted(q1 | q2))
     assert k_small >= k_big
+
+
+_TRI_HEADER = "age,priors,recent,flag,area,label\n"
+_TRI_ROW = "25,1,3,No,N,High\n"
+
+
+@pytest.mark.parametrize("text, message, row, column", [
+    (_TRI_HEADER + _TRI_ROW + "abc,1,3,No,N,High\n",
+     "row 2, column age: could not convert string to float: 'abc'", 2, "age"),
+    (_TRI_HEADER + _TRI_ROW + "inf,1,3,No,N,High\n",
+     "row 2, column age: non-finite value 'inf'", 2, "age"),
+    (_TRI_HEADER + _TRI_ROW + "25,1.5,3,No,N,High\n",
+     "row 2, column priors: invalid literal for int() with base 10: '1.5'",
+     2, "priors"),
+    (_TRI_HEADER + _TRI_ROW + "25,-1,3,No,N,High\n",
+     "row 2, column priors: negative count '-1'", 2, "priors"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,-2,No,N,High\n",
+     "row 2, column recent: negative years value '-2'", 2, "recent"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,nan,No,N,High\n",
+     "row 2, column recent: negative years value 'nan'", 2, "recent"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,3,Maybe,N,High\n",
+     "row 2, column flag: unknown category 'Maybe'", 2, "flag"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,3,No,N,Extreme\n",
+     "row 2: label 'Extreme' not in High/Moderate/Low", 2, "label"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,3,No,N\n",
+     "row 2: expected 6 cells, got 5", 2, None),
+    # the first bad input in file order wins: row, then schema order, then label
+    ("label,area,flag,recent,priors,age\nHigh,N,No,3,1,25\nHigh,N,Maybe,3,1,x\n",
+     "row 2, column age: could not convert string to float: 'x'", 2, "age"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,3,No,N,Bad\nx,1,3,No,N,High\n",
+     "row 2: label 'Bad' not in High/Moderate/Low", 2, "label"),
+    (_TRI_HEADER + "x,1,3,No,N,High\n1,2\n",
+     "row 1, column age: could not convert string to float: 'x'", 1, "age"),
+    (_TRI_HEADER + "1,2\nx,1,3,No,N,High\n",
+     "row 1: expected 6 cells, got 2", 1, None),
+    (_TRI_HEADER + _TRI_ROW * 1103 + "25,zz,3,No,N,High\n",
+     "row 1104, column priors: invalid literal for int() with base 10: 'zz'",
+     1104, "priors"),
+])
+def test_bad_cell_errors_name_row_column_and_reason(tmp_path, tri_schema, text,
+                                                     message, row, column):
+    path = _write(tmp_path, text)
+    with pytest.raises(DataError) as err:
+        load_csv(path, tri_schema)
+    assert str(err.value) == message
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_padded_blank_and_unknown_cells_encode_like_single_cells(tmp_path,
+                                                                 tri_schema):
+    from riskforest.data.schema import encode_cell
+
+    rows = [[" 25.5", "3 ", " ", " Yes", "ZZ", " High"],
+            ["31", " 0", "null", "No ", " S ", "Low "],
+            ["44", "1", "N/A", "No", "W", "Moderate"]]
+    text = _TRI_HEADER + "".join(",".join(r) + "\n" for r in rows)
+    ds = load_csv(_write(tmp_path, text), tri_schema)
+    want = [[encode_cell(spec, cell) for spec, cell in zip(tri_schema.specs, r)]
+            for r in rows]
+    assert ds.X.tolist() == want
+    assert ds.y.tolist() == [0, 2, 1]

@@ -203,3 +203,161 @@ def test_split_rule_validation():
         SplitRule(feature_index=0, threshold=1.0, subset=frozenset({1}))
     with pytest.raises(SchemaError):
         SplitRule(feature_index=0, subset=frozenset())
+
+
+# -- level-wise induction against the plain-loop oracles -------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskforest import (FeatureSchema, FeatureSpec, SentinelRule,
+                        VALIDATION_MARGINALS, generate_synthetic)
+
+from oracles import prefix_subset_oracle
+
+_MIXED = FeatureSchema(
+    specs=(
+        FeatureSpec("age", "numeric"),
+        FeatureSpec("priors", "count"),
+        FeatureSpec("recent", "years-since", sentinel=SentinelRule(code=100.0)),
+        FeatureSpec("flag", "binary"),
+        FeatureSpec("area", "categorical",
+                    categories=tuple(f"A{i}" for i in range(11)) + ("OTHER",)),
+    ),
+    label_set=("High", "Moderate", "Low"),
+)
+
+
+@st.composite
+def _mixed_rows(draw, n_max=24):
+    n = draw(st.integers(2, n_max))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    X = np.column_stack([
+        column(st.sampled_from([18.0, 18.5, 21.0, 25.5, 30.0, 44.0])),
+        column(st.integers(0, 4)),
+        column(st.sampled_from([0.0, 1.5, 3.0, 100.0])),
+        column(st.integers(0, 1)),
+        column(st.integers(0, 11)),
+    ]).astype(float)
+    return Dataset(_MIXED, X, np.array(column(st.integers(0, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=_mixed_rows(),
+       weights=st.tuples(*[st.sampled_from([0.3, 0.7, 1.0, 1.5, 2.25, 3.1])] * 3),
+       min_leaf=st.integers(1, 3), depth=st.integers(1, 5),
+       seed=st.integers(0, 2**64 - 1))
+def test_full_feature_tree_predicts_like_greedy_oracle(ds, weights, min_leaf,
+                                                       depth, seed):
+    tree = train_tree(ds, weights, feature_subset_size=5, min_leaf=min_leaf,
+                      max_depth=depth, seed=seed)
+    oracle = greedy_tree_oracle(ds.X, ds.y, [s.kind for s in _MIXED.specs], 3,
+                                weights, min_leaf, depth)
+    probes = np.vstack([ds.X, [[19.0, 2, 2.0, 1, 5], [50.0, 0, 100.0, 0, 11]]])
+    got = tree_apply(tree, probes)
+    for row, dist in zip(probes, got):
+        assert dist == pytest.approx(oracle_tree_predict(oracle, row), abs=1e-12)
+
+
+def test_prefix_oracle_orders_by_high_risk_fraction():
+    # Codes 3 and 5 are all High, 1 half High, 0 never: the prefixes are
+    # {3}, {3, 5} and {3, 5, 1}, scoring 1 + 18/6, 3 + 10/4 and 17/5 + 2.
+    codes = [0, 0, 1, 1, 3, 5, 5]
+    y = [2, 2, 0, 2, 0, 0, 0]
+    score, members = prefix_subset_oracle(codes, y, [1.0, 1.0, 1.0], 1, 1e-9)
+    assert members == frozenset({3, 5})
+    assert score == pytest.approx(5.5, abs=1e-12)
+
+
+_WIDE = FeatureSchema(
+    specs=(
+        FeatureSpec("score", "numeric"),
+        FeatureSpec("mosaic", "categorical",
+                    categories=tuple(f"M{i:02d}" for i in range(29)) + ("OTHER",)),
+    ),
+    label_set=("High", "Moderate", "Low"),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       weights=st.tuples(*[st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0])] * 3),
+       min_leaf=st.integers(1, 5), depth=st.integers(1, 3))
+def test_wide_category_splits_match_prefix_oracle(seed, weights, min_leaf, depth):
+    # more than 12 categories present: the ordered-prefix scan, not every subset
+    rng = np.random.default_rng(seed)
+    n = 160
+    codes = rng.integers(0, 30, size=n)
+    risk = rng.random(30)[codes]
+    y = np.where(rng.random(n) < risk, 0, rng.integers(1, 3, size=n))
+    X = np.column_stack([rng.integers(0, 40, size=n) / 2.0, codes]).astype(float)
+    ds = Dataset(_WIDE, X, y)
+    tree = train_tree(ds, weights, feature_subset_size=2, min_leaf=min_leaf,
+                      max_depth=depth, seed=seed)
+    oracle = greedy_tree_oracle(X, y, ["numeric", "categorical"], 3, weights,
+                                min_leaf, depth)
+    for row, dist in zip(X, tree_apply(tree, X)):
+        assert dist == pytest.approx(oracle_tree_predict(oracle, row), abs=1e-12)
+
+
+def _truncate(node, depth):
+    """The top ``depth`` levels of a tree; cut subtrees become leaves."""
+    if node.is_leaf:
+        return node
+    if depth == 0:
+        def total(n):
+            return n.class_weights if n.is_leaf else total(n.left) + total(n.right)
+        return TreeNode(class_weights=total(node))
+    return TreeNode(rule=node.rule, left=_truncate(node.left, depth - 1),
+                    right=_truncate(node.right, depth - 1))
+
+
+def test_shallow_tree_is_top_of_deeper_tree(schema):
+    # each node's feature sample is keyed by its path, not by growth order
+    ds = generate_synthetic(schema, 600, VALIDATION_MARGINALS, 0.8, 9)
+    for k in range(1, 8):
+        shallow = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k, seed=11)
+        deeper = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k + 1,
+                            seed=11)
+        assert serialize_tree(shallow) == serialize_tree(_truncate(deeper, k))
+
+
+def test_level_blocks_do_not_change_the_tree(schema, monkeypatch):
+    # a level searched in many small blocks of nodes grows the same tree
+    import riskforest.tree as tree_module
+
+    ds = generate_synthetic(schema, 500, VALIDATION_MARGINALS, 0.8, 4)
+    rows = np.random.default_rng(2).integers(0, len(ds), size=len(ds))
+    whole = train_tree(ds, (1.5, 1.0, 2.0), min_leaf=1, max_depth=12, seed=3,
+                       row_indices=rows)
+    monkeypatch.setattr(tree_module, "LEVEL_BLOCK_PAIRS", 64)
+    monkeypatch.setattr(tree_module, "MASK_BLOCK", 16)
+    blocked = train_tree(ds, (1.5, 1.0, 2.0), min_leaf=1, max_depth=12, seed=3,
+                         row_indices=rows)
+    assert serialize_tree(blocked) == serialize_tree(whole)
+
+
+def test_feature_choice_is_a_chain_not_first_near_the_maximum():
+    from riskforest.tree import _best_feature
+
+    tol = np.array([1.0, 1.0, 1.0, 1.0])
+    score = np.array([[5.0, 5.6, 6.2],   # 6.2 beats 5.0 by more than tol
+                      [5.0, 5.5, 5.9],   # nothing beats 5.0 by more than tol
+                      [-np.inf, 3.0, 7.0],
+                      [-np.inf, -np.inf, -np.inf]])
+    best, column = _best_feature(score, tol)
+    assert column.tolist()[:3] == [2, 0, 2]
+    assert best.tolist() == [6.2, 5.0, 7.0, -np.inf]
+
+
+def test_split_without_gain_beyond_tolerance_stays_a_leaf(small_schema):
+    # Both sides hold High:Low at 1:2, so the split gains nothing; with
+    # these weights its rounded score still lands an ulp above the parent's.
+    X = np.array([[1.0, 0, 0]] * 3 + [[2.0, 0, 0]] * 6)
+    y = np.array([0, 1, 1, 0, 0, 1, 1, 1, 1])
+    tree = train_tree(Dataset(small_schema, X, y), (0.1, 0.3),
+                      feature_subset_size=3, min_leaf=1, max_depth=3, seed=0)
+    assert tree.is_leaf
