@@ -10,10 +10,8 @@ failure, 2 usage error.
 
 Each command writes fixed file names under --out: a Markdown report for
 humans and a JSON report for CI, both opening with a reproducibility
-header that serializes the resolved configuration. The --threads flag
-caps training workers without changing any output, so it is the one
-option the header omits. Commands that draw randomness (generate,
-train) refuse to run without --seed.
+header that serializes the resolved configuration. Commands that draw
+randomness (generate, train) refuse to run without --seed.
 """
 
 from __future__ import annotations
@@ -239,12 +237,10 @@ def cmd_train(args) -> int:
     seed = _require_seed(args)
     if not args.data:
         raise UsageError("--data is required")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     schema = _load_schema(args)
     ds = load_csv(args.data, schema)
     config = _forest_config(args, seed)
-    forest = train_forest(ds, config, threads=args.threads)
+    forest = train_forest(ds, config)
     out.mkdir(parents=True, exist_ok=True)
     save_forest(forest, out / "model.forest")
 
@@ -465,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, model=False, threads=False, epsilon=False):
+    def common(p, *, seed=False, model=False, epsilon=False):
         p.add_argument("--schema", default=_env("SCHEMA"),
                        help="schema file (default: bundled custody schema)")
         p.add_argument("--group", default=_env("GROUP"),
@@ -477,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", default=_env("MODEL"),
                            help="serialized forest file")
-        if threads:
-            p.add_argument("--threads", type=int, default=_env("THREADS", "1"),
-                           help="worker cap; never changes outputs")
         if epsilon:
             p.add_argument("--epsilon", type=float,
                            default=_env("EPSILON", "0.05"))
@@ -503,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a forest and report OOB accuracy")
-    common(p, seed=True, threads=True)
+    common(p, seed=True)
     p.add_argument("--trees", type=int, default=_env("TREES", "509"))
     p.add_argument("--weights", default=_env("WEIGHTS"),
                    help="comma-separated per-label class weights")

@@ -1,10 +1,9 @@
 """Validated tabular datasets and CSV round-tripping.
 
 A Dataset is immutable after construction: its arrays are marked
-read-only so it can be shared across worker threads during forest
-training. Feature values live in a float matrix; categorical and binary
-cells are stored as category indices, years-since "no history" as the
-literal sentinel code.
+read-only so every tree trained on it can share them. Feature values
+live in a float matrix; categorical and binary cells are stored as
+category indices, years-since "no history" as the literal sentinel code.
 """
 
 from __future__ import annotations
@@ -172,11 +171,10 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
     raises the DataError a row-by-row read would."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        first = _read_records(path, reader, 1)
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in first[0]]
         expected = set(schema.feature_names) | {LABEL_COLUMN}
         if schema.group_attribute is not None:
             expected.add(schema.group_attribute)
@@ -199,7 +197,7 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
 
         blocks, labels, groups = [], [], []
         done = 0  # rows before this chunk
-        while chunk := list(islice(reader, CSV_CHUNK_ROWS)):
+        while chunk := _read_records(path, reader, CSV_CHUNK_ROWS):
             lengths = np.fromiter(map(len, chunk), dtype=np.int64,
                                   count=len(chunk))
             bad = np.flatnonzero(lengths != len(header))
@@ -243,6 +241,15 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
     return X, y, g
 
 
+def _read_records(path, reader, n: int) -> list[list[str]]:
+    """The next n records or fewer; one the csv module cannot read (say, a
+    cell over its field size limit) raises a DataError naming the line."""
+    try:
+        return list(islice(reader, n))
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):
     """Write encode_cell of each cell into ``out``; return None, or the
     (index, reason) of the first cell encode_cell rejects.
@@ -267,7 +274,7 @@ def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):
             ok = out >= 0 if spec.kind == "years-since" else np.isfinite(out)
         if ok.all():
             return None
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, OverflowError):
         pass
     for i, cell in enumerate(cells):
         try:

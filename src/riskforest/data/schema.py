@@ -269,7 +269,10 @@ def encode_cell(spec: FeatureSpec, cell: str) -> float:
         value = int(text)
         if value < 0:
             raise ValueError(f"negative count {text!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"count of {len(text)} digits too large") from None
     # numeric
     value = float(text)
     if value != value or value in (float("inf"), float("-inf")):

@@ -2,10 +2,10 @@
 
 Every tree trains on a with-replacement bootstrap whose generator is
 derived from (master_seed, tree index) through a splittable seed
-sequence, so the trained forest is identical whatever the worker count
-or execution order. The per-tree bootstrap membership is therefore
-never stored: it is drawn again from the seed when out-of-bag
-predictions need to know which trees never saw a row.
+sequence, so the trained forest is a pure function of the data and the
+config. The per-tree bootstrap membership is therefore never stored: it
+is drawn again from the seed when out-of-bag predictions need to know
+which trees never saw a row.
 
 All trees live in one flat node table (``tree.NodeTable``); every
 forest-level prediction is one level-by-level gather over it.
@@ -18,8 +18,8 @@ label (labels are ordered highest risk first).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,28 +81,22 @@ class Forest:
     """A trained forest: its config, its trees in one flat node table, and
     what it needs to refuse data it was not made for.
 
-    Give either ``trees`` (linked nodes, compiled into the table) or
-    ``table``. ``trees`` and ``inbag`` left out are derived on first use:
-    the linked trees from ``table``, the in-bag lists from the seed and
-    ``n_train``. ``n_features`` is the row length the model scores and
-    ``data_digest`` identifies its training rows; a forest built by hand
-    may leave all three None.
+    ``n_features`` is the row length the model scores, ``n_train`` the
+    size of its training set, from which ``inbag`` draws the in-bag lists
+    again, and ``data_digest`` identifies its training rows; a forest
+    built by hand from a table may leave all three None.
     """
 
-    def __init__(self, config: ForestConfig, trees=None, inbag=None, *,
-                 fingerprint: str, labels, table: NodeTable | None = None,
-                 n_features: int | None = None, n_train: int | None = None,
-                 data_digest: str | None = None):
+    def __init__(self, config: ForestConfig, *, fingerprint: str, labels,
+                 table: NodeTable, n_features: int | None = None,
+                 n_train: int | None = None, data_digest: str | None = None):
         self.config = config
         self.fingerprint = fingerprint
         self.labels = tuple(labels)
-        self.table = (table if table is not None
-                      else NodeTable.from_trees(trees, len(self.labels)))
+        self.table = table
         self.n_features = n_features
         self.n_train = n_train
         self.data_digest = data_digest
-        self._trees = None if trees is None else tuple(trees)
-        self._inbag = None if inbag is None else tuple(inbag)
 
     @property
     def n_labels(self) -> int:
@@ -110,19 +104,15 @@ class Forest:
 
     @property
     def trees(self) -> tuple[TreeNode, ...]:
-        if self._trees is None:
-            self._trees = tuple(self.table.tree(t)
-                                for t in range(self.table.n_trees))
-        return self._trees
+        """Views of every tree's root in the node table."""
+        return tuple(self.table.tree(t) for t in range(self.table.n_trees))
 
-    @property
+    @cached_property
     def inbag(self) -> tuple[np.ndarray, ...]:
-        if self._inbag is None:
-            if self.n_train is None:
-                raise DataError("forest records neither in-bag lists nor n_train")
-            self._inbag = tuple(bootstrap_rows(self.config, i, self.n_train)
-                                for i in range(self.config.n_trees))
-        return self._inbag
+        if self.n_train is None:
+            raise DataError("forest records no n_train to draw in-bag lists from")
+        return tuple(bootstrap_rows(self.config, i, self.n_train)
+                     for i in range(self.config.n_trees))
 
 
 def derive_tree_seed(master_seed: int, index: int) -> int:
@@ -150,38 +140,23 @@ def data_digest(data: Dataset) -> str:
     return h.hexdigest()[:16]
 
 
-def train_forest(data: Dataset, config: ForestConfig, threads: int = 1) -> Forest:
+def train_forest(data: Dataset, config: ForestConfig) -> Forest:
     """Train config.n_trees trees on per-tree bootstraps of ``data``.
 
-    ``threads`` caps concurrent tree builds and never changes the result;
-    trees are assembled in index order regardless of completion order.
+    Each tree is one ``train_tree`` call, and the trees' one-tree tables
+    are joined in index order into the forest's table.
     """
     if len(data) == 0:
         raise DataError("cannot train on an empty dataset")
     cfg = config.resolved(data)
     n = len(data)
-
-    def build(i: int) -> TreeNode:
-        return train_tree(
-            data,
-            class_weights=cfg.class_weights,
-            feature_subset_size=cfg.feature_subset_size,
-            min_leaf=cfg.min_leaf,
-            max_depth=cfg.max_depth,
-            seed=derive_tree_seed(cfg.master_seed, i),
-            row_indices=bootstrap_rows(cfg, i, n),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(cfg.n_trees)))
-    else:
-        trees = [build(i) for i in range(cfg.n_trees)]
-
-    # Only the table is kept: ``Forest.trees`` rebuilds linked nodes and
-    # ``Forest.inbag`` draws the bootstraps again, on demand.
+    trees = [train_tree(data, cfg.class_weights, cfg.feature_subset_size,
+                        cfg.min_leaf, cfg.max_depth,
+                        seed=derive_tree_seed(cfg.master_seed, i),
+                        row_indices=bootstrap_rows(cfg, i, n))
+             for i in range(cfg.n_trees)]
     return Forest(config=cfg,
-                  table=NodeTable.from_trees(trees, data.schema.n_labels),
+                  table=NodeTable.concatenate([tree.table for tree in trees]),
                   fingerprint=data.schema.fingerprint(),
                   labels=data.schema.label_set,
                   n_features=data.schema.n_features, n_train=n,
@@ -303,8 +278,7 @@ class CalibrationResult:
 
 
 def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: float,
-                         grid=COST_GRID, eval_fraction: float = 0.5,
-                         threads: int = 1) -> CalibrationResult:
+                         grid=COST_GRID, eval_fraction: float = 0.5) -> CalibrationResult:
     """Sweep high-risk weight multipliers toward a cautious:dangerous target.
 
     Each grid point trains on one half of ``data`` (split seeded from the
@@ -322,8 +296,7 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: floa
         weights = list(cfg.class_weights)
         weights[0] *= mult
         forest = train_forest(train_part,
-                              replace(cfg, class_weights=tuple(weights)),
-                              threads=threads)
+                              replace(cfg, class_weights=tuple(weights)))
         pred, _ = predict_dataset(forest, eval_part)
         dangerous, cautious = count_policy_errors(pred, eval_part.y,
                                                   data.schema.n_labels)
@@ -382,7 +355,7 @@ def save_forest(forest: Forest, path) -> None:
     lines = [FOREST_FORMAT_LINE] + [f"{key} {values[key]}" for key in _HEADER_KEYS]
     for t in range(cfg.n_trees):
         lines.append(f"tree {t}")
-        lines += forest.table.node_lines(t)
+        lines += forest.table.subtree_lines(int(forest.table.roots[t]))
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

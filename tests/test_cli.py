@@ -109,13 +109,13 @@ def test_train_defaults_to_509_trees(tmp_path):
     assert payload["result"]["n_trees"] == 509
 
 
-def test_train_byte_identical_across_thread_counts(tmp_path, pipeline_dirs):
+def test_train_byte_identical_across_repeated_runs(tmp_path, pipeline_dirs):
     gen, _ = pipeline_dirs
     outs = []
-    for threads, name in (("1", "t1"), ("4", "t4")):
+    for name in ("first", "second"):
         out = tmp_path / name
         assert run("train", "--data", str(gen / "synthetic.csv"),
-                   "--trees", "9", "--seed", "5", "--threads", threads,
+                   "--trees", "9", "--seed", "5",
                    "--out", str(out)) == 0
         outs.append(out)
     a, b = outs
@@ -238,15 +238,30 @@ def test_malformed_model_exits_one_with_located_message(tmp_path, pipeline_dirs,
     assert "line" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_train_rejects_thread_count_below_one(tmp_path, pipeline_dirs, capsys,
-                                              threads):
+def test_threads_flag_is_gone(tmp_path, pipeline_dirs, capsys):
     gen, _ = pipeline_dirs
     assert run("train", "--data", str(gen / "synthetic.csv"), "--trees", "2",
-               "--seed", "5", "--threads", threads,
+               "--seed", "5", "--threads", "2",
                "--out", str(tmp_path / "t")) == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+def test_cell_over_csv_field_limit_exits_one_naming_the_line(tmp_path,
+                                                             pipeline_dirs,
+                                                             capsys):
+    gen, _ = pipeline_dirs
+    lines = (gen / "synthetic.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[0] = "1" * 200_000
+    lines[3] = ",".join(cells)
+    data = tmp_path / "long.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", str(data), "--trees", "2", "--seed", "5",
+               "--out", str(tmp_path / "t")) == 1
+    err = capsys.readouterr().err
+    assert f"{data}, line 4: field larger than field limit" in err
+    assert "Traceback" not in err
 
 
 def test_train_rejects_feature_subset_zero(tmp_path, pipeline_dirs, capsys):

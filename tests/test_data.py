@@ -309,6 +309,8 @@ _TRI_ROW = "25,1,3,No,N,High\n"
      2, "priors"),
     (_TRI_HEADER + _TRI_ROW + "25,-1,3,No,N,High\n",
      "row 2, column priors: negative count '-1'", 2, "priors"),
+    (_TRI_HEADER + _TRI_ROW + "25," + "1" * 400 + ",3,No,N,High\n",
+     "row 2, column priors: count of 400 digits too large", 2, "priors"),
     (_TRI_HEADER + _TRI_ROW + "25,1,-2,No,N,High\n",
      "row 2, column recent: negative years value '-2'", 2, "recent"),
     (_TRI_HEADER + _TRI_ROW + "25,1,nan,No,N,High\n",

@@ -23,7 +23,7 @@ from riskforest.forest import (
     count_policy_errors,
     derive_tree_seed,
 )
-from riskforest.tree import TreeNode, serialize_tree
+from riskforest.tree import TableBuilder, serialize_tree
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,10 @@ def test_ensemble_of_one_identity_bootstrap_acts_like_single_tree(small_data):
     assert list(forest.inbag[0]) == list(range(len(small_data)))
 
 
-def test_training_is_thread_count_invariant(small_data, tmp_path):
+def test_training_is_repeatable(small_data, tmp_path):
     cfg = ForestConfig(n_trees=12, master_seed=5, min_leaf=5, max_depth=8)
-    a = train_forest(small_data, cfg, threads=1)
-    b = train_forest(small_data, cfg, threads=4)
+    a = train_forest(small_data, cfg)
+    b = train_forest(small_data, cfg)
     pa, pb = tmp_path / "a.forest", tmp_path / "b.forest"
     save_forest(a, pa)
     save_forest(b, pb)
@@ -61,18 +61,43 @@ def test_bootstrap_absent_fraction_near_inverse_e():
     assert np.mean(absent) == pytest.approx(np.exp(-1), abs=0.03)
 
 
-def _constant_tree(k, K=3):
-    w = np.zeros(K)
-    w[k] = 1.0
-    return TreeNode(class_weights=w)
+def test_train_forest_calls_train_tree_once_per_tree(small_data, monkeypatch):
+    # perfbench's tracer wraps riskforest.forest.train_tree and walks each
+    # root it returns through .left/.right to count the tree's nodes
+    import riskforest.forest as forest_module
+
+    roots = []
+
+    def counted(*args, **kwargs):
+        roots.append(train_tree(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(forest_module, "train_tree", counted)
+    forest = train_forest(small_data, ForestConfig(n_trees=6, master_seed=8,
+                                                   max_depth=7))
+    assert len(roots) == 6
+    for t, root in enumerate(roots):
+        nodes, stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            stack += [c for c in (node.left, node.right) if c is not None]
+        table = forest.table
+        end = table.roots[t + 1] if t + 1 < table.n_trees else len(table.left)
+        assert nodes == end - table.roots[t]
+        assert serialize_tree(root) == serialize_tree(forest.trees[t])
 
 
 def _hand_forest(vote_labels, schema):
-    trees = tuple(_constant_tree(k) for k in vote_labels)
-    cfg = ForestConfig(n_trees=len(trees), class_weights=(1.0, 1.0, 1.0),
+    """One single-leaf tree per label index, voting for that label."""
+    builder = TableBuilder()
+    for k in vote_labels:
+        builder.start_tree()
+        builder.add_line("leaf " + ",".join("1.0" if j == k else "0.0"
+                                            for j in range(3)))
+    cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
-    inbag = tuple(np.array([0]) for _ in trees)
-    return Forest(config=cfg, trees=trees, inbag=inbag,
+    return Forest(config=cfg, table=builder.finish(),
                   fingerprint=schema.fingerprint(), labels=schema.label_set)
 
 
@@ -108,9 +133,10 @@ def test_vote_tallies_sum_to_tree_count(small_data):
 def test_fingerprint_mismatch_rejected(small_data):
     cfg = ForestConfig(n_trees=3, master_seed=2, max_depth=4)
     forest = train_forest(small_data, cfg)
-    tampered = Forest(config=forest.config, trees=forest.trees,
-                      inbag=forest.inbag, fingerprint="0" * 16,
-                      labels=forest.labels)
+    tampered = Forest(config=forest.config, table=forest.table,
+                      fingerprint="0" * 16, labels=forest.labels,
+                      n_features=forest.n_features, n_train=forest.n_train,
+                      data_digest=forest.data_digest)
     with pytest.raises(FingerprintMismatchError):
         predict_dataset(tampered, small_data)
     with pytest.raises(FingerprintMismatchError):

@@ -10,8 +10,6 @@ from riskforest import (
     FeatureSchema,
     FeatureSpec,
     ForestConfig,
-    SplitRule,
-    TreeNode,
     VALIDATION_MARGINALS,
     generate_synthetic,
     hart_schema,
@@ -25,7 +23,7 @@ from riskforest import (
 )
 from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_votes
-from riskforest.tree import tree_apply
+from riskforest.tree import FORMAT_LINE, deserialize_tree, tree_apply
 
 from oracles import replay_tree_predict
 
@@ -41,8 +39,9 @@ def _replay_votes(tree, X):
 
 
 def _subset_splits(forest):
-    return [line for t in range(forest.config.n_trees)
-            for line in forest.table.node_lines(t) if " in " in line]
+    table = forest.table
+    return [line for root in table.roots.tolist()
+            for line in table.subtree_lines(root) if " in " in line]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +77,20 @@ def test_table_votes_equal_replay_oracle_tree_by_tree(hart_data, hart_forest,
             assert (votes[t] == _replay_votes(tree, hart_data.X)).all()
 
 
+def test_trained_forest_table_equals_the_table_loaded_from_its_file(
+        hart_forest, tmp_path):
+    # the trees' one-tree tables are joined as TableBuilder lays them out
+    assert _subset_splits(hart_forest), "want category flags to check"
+    path = tmp_path / "model.forest"
+    save_forest(hart_forest, path)
+    loaded = load_forest(path).table
+    for name in ("feature", "start", "width", "left", "right", "threshold",
+                 "members", "weights", "roots", "vote"):
+        assert np.array_equal(getattr(hart_forest.table, name),
+                              getattr(loaded, name), equal_nan=True), name
+    assert hart_forest.table.depth == loaded.depth
+
+
 def test_more_than_64_categories_train_and_predict():
     n_cats = 100
     schema = FeatureSchema(
@@ -106,18 +119,12 @@ def test_more_than_64_categories_train_and_predict():
 
 
 def test_codes_outside_a_subset_go_right_like_int_membership():
-    def leaf(k):
-        w = np.zeros(3)
-        w[k] = 1.0
-        return TreeNode(class_weights=w)
-
-    # Two subset nodes, so their category flags sit side by side.
-    tree = TreeNode(
-        rule=SplitRule(0, subset=frozenset({1, 3})),
-        left=TreeNode(rule=SplitRule(1, subset=frozenset({0, 2})),
-                      left=leaf(0), right=leaf(1)),
-        right=TreeNode(rule=SplitRule(1, subset=frozenset({4})),
-                       left=leaf(2), right=leaf(1)))
+    # Three subset nodes, so their category flags sit side by side.
+    tree = deserialize_tree("\n".join([
+        FORMAT_LINE,
+        "split 0 in 1,3",
+        "split 1 in 0,2", "leaf 1.0,0.0,0.0", "leaf 0.0,1.0,0.0",
+        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"]))
     values = np.r_[np.arange(-6.0, 8.0, 0.5), -1e30, 1e30]
     X = np.array([(a, b) for a in values for b in values])
     got = tree_apply(tree, X)

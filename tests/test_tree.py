@@ -4,7 +4,8 @@ import pytest
 from riskforest import Dataset, SplitRule, train_tree
 from riskforest.errors import SchemaError
 from riskforest.tree import (
-    TreeNode,
+    FORMAT_LINE,
+    TableBuilder,
     deserialize_tree,
     predict_tree,
     serialize_tree,
@@ -13,6 +14,11 @@ from riskforest.tree import (
 )
 
 from oracles import greedy_tree_oracle, oracle_tree_predict, replay_tree_predict
+
+
+def _tree(*lines):
+    """The tree given by its pre-order node lines."""
+    return deserialize_tree("\n".join((FORMAT_LINE,) + lines))
 
 
 def _random_tri_dataset(tri_schema, rng, n=20):
@@ -49,10 +55,8 @@ def test_two_separable_rows_make_depth_one_tree(small_schema):
 
 
 def test_sentinel_routes_past_years_since_threshold(tri_schema):
-    rule = SplitRule(feature_index=2, threshold=30.0)
-    tree = TreeNode(rule=rule,
-                    left=TreeNode(class_weights=np.array([1.0, 0.0, 0.0])),
-                    right=TreeNode(class_weights=np.array([0.0, 0.0, 1.0])))
+    tree = _tree("split 2 <= 30.0", "leaf 1.0,0.0,0.0", "leaf 0.0,0.0,1.0")
+    assert tree.rule == SplitRule(feature_index=2, threshold=30.0)
     dist = predict_tree(tree, [0, 0, 100.0, 0, 0])
     assert dist[2] == 1.0  # sentinel 100 > 30: no-history row goes right
 
@@ -192,7 +196,7 @@ def test_tree_apply_agrees_with_predict(tri_schema):
 
 
 def test_tree_vote_tie_breaks_toward_lower_risk():
-    leaf = TreeNode(class_weights=np.array([1.0, 0.0, 1.0]))
+    leaf = _tree("leaf 1.0,0.0,1.0")
     assert tree_votes(leaf, np.zeros((1, 3)))[0] == 2  # Low over High
 
 
@@ -262,6 +266,30 @@ def test_full_feature_tree_predicts_like_greedy_oracle(ds, weights, min_leaf,
         assert dist == pytest.approx(oracle_tree_predict(oracle, row), abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(ds=_mixed_rows(n_max=40),
+       weights=st.tuples(*[st.sampled_from([0.3, 1.0, 2.25])] * 3),
+       subset_size=st.integers(1, 5), min_leaf=st.integers(1, 3),
+       depth=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+def test_trained_table_equals_table_parsed_from_its_node_lines(
+        ds, weights, subset_size, min_leaf, depth, seed):
+    # train_tree lays the tree out in pre-order, category flags included,
+    # exactly as TableBuilder lays out the same tree read from its lines
+    table = train_tree(ds, weights, feature_subset_size=subset_size,
+                       min_leaf=min_leaf, max_depth=depth, seed=seed).table
+    builder = TableBuilder()
+    builder.start_tree()
+    for line in table.subtree_lines(0):
+        builder.add_line(line)
+    parsed = builder.finish()
+    for name in ("feature", "start", "width", "left", "right", "threshold",
+                 "members", "weights", "roots", "vote"):
+        got, want = getattr(table, name), getattr(parsed, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want, equal_nan=True), name
+    assert table.depth == parsed.depth
+
+
 def test_prefix_oracle_orders_by_high_risk_fraction():
     # Codes 3 and 5 are all High, 1 half High, 0 never: the prefixes are
     # {3}, {3, 5} and {3, 5, 1}, scoring 1 + 18/6, 3 + 10/4 and 17/5 + 2.
@@ -305,14 +333,19 @@ def test_wide_category_splits_match_prefix_oracle(seed, weights, min_leaf, depth
 
 def _truncate(node, depth):
     """The top ``depth`` levels of a tree; cut subtrees become leaves."""
-    if node.is_leaf:
-        return node
-    if depth == 0:
-        def total(n):
-            return n.class_weights if n.is_leaf else total(n.left) + total(n.right)
-        return TreeNode(class_weights=total(node))
-    return TreeNode(rule=node.rule, left=_truncate(node.left, depth - 1),
-                    right=_truncate(node.right, depth - 1))
+    def total(n):
+        return n.class_weights if n.is_leaf else total(n.left) + total(n.right)
+
+    def lines(n, d):
+        if n.is_leaf or d == 0:
+            return ["leaf " + ",".join(map(repr, total(n).tolist()))]
+        r = n.rule
+        test = (f"<= {r.threshold!r}" if r.subset is None
+                else "in " + ",".join(map(str, sorted(r.subset))))
+        return ([f"split {r.feature_index} {test}"]
+                + lines(n.left, d - 1) + lines(n.right, d - 1))
+
+    return _tree(*lines(node, depth))
 
 
 def test_shallow_tree_is_top_of_deeper_tree(schema):
