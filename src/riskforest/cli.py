@@ -25,19 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (
-    Dataset,
-    FeatureSchema,
-    VALIDATION_MARGINALS,
-    fixture_path,
-    generate_synthetic,
-    generate_two_group,
-    hart_schema,
-    k_anonymity,
-    load_csv,
-    load_unlabeled_csv,
-    write_csv,
-)
+from ._lazy import load
 from .errors import (
     CalibrationError,
     DataError,
@@ -45,26 +33,46 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-from .fairness import (
-    ALL_CHECKS,
-    GroupedOutcomes,
-    impossibility_search,
-)
-from .forest import (
-    ForestConfig,
-    load_forest,
-    oob_predict,
-    predict_dataset,
-    save_forest,
-    train_forest,
-)
-from .metrics import (
-    ConfusionMatrix,
-    confusion_from_predictions,
-    derive_metrics,
-    random_baseline,
-)
-from .reference import PUBLISHED, TABLE_TOLERANCE
+
+# The names this module borrows from each layer. A verb imports only the
+# layers its subparser lists (``layers``), and main() binds their names
+# here before the verb runs; any other name resolves on first access
+# through __getattr__. Either way a name is set only if it is still
+# unset, so a wrapper or a test's patch put in place beforehand is the
+# one the verb calls.
+_BORROWED = {
+    "data.schema": ("FeatureSchema", "fixture_path", "hart_schema"),
+    "data.dataset": ("Dataset", "load_csv", "load_unlabeled_csv", "write_csv"),
+    "data.synth": ("VALIDATION_MARGINALS", "generate_synthetic",
+                   "generate_two_group"),
+    "data.privacy": ("k_anonymity",),
+    "fairness": ("ALL_CHECKS", "GroupedOutcomes", "impossibility_search"),
+    "forest": ("ForestConfig", "load_forest", "oob_predict",
+               "predict_dataset", "save_forest", "train_forest"),
+    "metrics": ("ConfusionMatrix", "confusion_from_predictions",
+                "derive_metrics", "random_baseline"),
+    "reference": ("PUBLISHED", "TABLE_TOLERANCE"),
+}
+_LAYER_OF = {name: layer for layer, names in _BORROWED.items() for name in names}
+
+
+def _bind(layers) -> None:
+    """Import each layer and bind its borrowed names, keeping any name
+    that is already set."""
+    namespace = globals()
+    for layer in layers:
+        module = load(f"{__package__}.{layer}")
+        for name in _BORROWED[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((layer,))
+    return globals()[name]
+
 
 ENV_PREFIX = "RISKFOREST_"
 
@@ -289,12 +297,13 @@ def cmd_predict(args) -> int:
     ds_like = Dataset(schema, X, np.zeros(len(X), dtype=np.int64), groups)
     pred, tally = predict_dataset(forest, ds_like)
     out.mkdir(parents=True, exist_ok=True)
+    columns = [map(str, range(len(pred))),
+               map(forest.labels.__getitem__, pred.tolist()),
+               *(map(str, votes) for votes in tally.T.tolist())]
     with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
         names = ",".join(f"votes_{name}" for name in forest.labels)
         fh.write(f"row,predicted,{names}\n")
-        for i in range(len(pred)):
-            votes = ",".join(str(int(v)) for v in tally[i])
-            fh.write(f"{i},{forest.labels[pred[i]]},{votes}\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     counts = {name: int((pred == k).sum())
               for k, name in enumerate(forest.labels)}
     header = _header("predict", args, ["data", "model", "schema", "group"])
@@ -460,6 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and audit cost-sensitive risk forests.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each verb lists the layers it runs (see _BORROWED); main() imports
+    # those and no others.
+    csv_layers = ("data.schema", "data.dataset")
 
     def common(p, *, seed=False, model=False, epsilon=False):
         p.add_argument("--schema", default=_env("SCHEMA"),
@@ -482,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                             " them against the published ones")
     p.add_argument("--fixture-dir", default=_env("FIXTURE_DIR"))
     p.add_argument("--out", default=_env("OUT"))
-    p.set_defaults(func=cmd_reproduce_tables)
+    p.set_defaults(func=cmd_reproduce_tables,
+                   layers=("data.schema", "metrics", "reference"))
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     common(p, seed=True)
@@ -493,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plant a high-risk base-rate gap between two groups"
                         " (or set RISKFOREST_TWO_GROUP=1)")
     p.add_argument("--group-gap", type=float, default=_env("GROUP_GAP", "0.2"))
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"))
 
     p = sub.add_parser("train", help="train a forest and report OOB accuracy")
     common(p, seed=True)
@@ -506,31 +519,32 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env("FEATURE_SUBSET"))
     p.add_argument("--bootstrap-size", type=int,
                    default=_env("BOOTSTRAP_SIZE"))
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, layers=(*csv_layers, "forest", "metrics"))
 
     p = sub.add_parser("predict", help="write per-row labels and vote tallies")
     common(p, model=True)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, layers=(*csv_layers, "forest"))
 
     p = sub.add_parser("evaluate",
                        help="confusion matrix and performance measures")
     common(p, model=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, layers=(*csv_layers, "forest", "metrics"))
 
     p = sub.add_parser("audit", help="group fairness report")
     common(p, model=True, epsilon=True)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_audit, layers=(*csv_layers, "forest", "fairness"))
 
     p = sub.add_parser("baseline", help="random-guesser accuracy for marginals")
     common(p)
     p.add_argument("--marginals", default=_env("MARGINALS"))
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=cmd_baseline,
+                   layers=(*csv_layers, "data.synth", "metrics"))
 
     p = sub.add_parser("k-anon", help="k-anonymity of a dataset")
     common(p)
     p.add_argument("--quasi", default=_env("QUASI"),
                    help="comma-separated quasi-identifier columns")
-    p.set_defaults(func=cmd_k_anon)
+    p.set_defaults(func=cmd_k_anon, layers=(*csv_layers, "data.privacy"))
 
     return parser
 
@@ -543,6 +557,7 @@ def main(argv=None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
+        _bind(args.layers)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

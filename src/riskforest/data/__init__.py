@@ -1,41 +1,14 @@
 """Schemas, datasets, synthetic generation, and privacy measurement."""
 
-from .dataset import Dataset, load_csv, load_unlabeled_csv, split_holdout, write_csv
-from .privacy import k_anonymity
-from .schema import (
-    LABEL_COLUMN,
-    MISSING_HISTORY_CODE,
-    OTHER,
-    FeatureSchema,
-    FeatureSpec,
-    SentinelRule,
-    fixture_path,
-    hart_schema,
-)
-from .synth import (
-    VALIDATION_MARGINALS,
-    generate_synthetic,
-    generate_two_group,
-    hart_synthetic,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Dataset",
-    "FeatureSchema",
-    "FeatureSpec",
-    "LABEL_COLUMN",
-    "MISSING_HISTORY_CODE",
-    "OTHER",
-    "SentinelRule",
-    "VALIDATION_MARGINALS",
-    "fixture_path",
-    "generate_synthetic",
-    "generate_two_group",
-    "hart_schema",
-    "hart_synthetic",
-    "k_anonymity",
-    "load_csv",
-    "load_unlabeled_csv",
-    "split_holdout",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "dataset": ("Dataset", "load_csv", "load_unlabeled_csv", "split_holdout",
+                "write_csv"),
+    "privacy": ("k_anonymity",),
+    "schema": ("LABEL_COLUMN", "MISSING_HISTORY_CODE", "OTHER",
+               "FeatureSchema", "FeatureSpec", "SentinelRule",
+               "fixture_path", "hart_schema"),
+    "synth": ("VALIDATION_MARGINALS", "generate_synthetic",
+              "generate_two_group", "hart_synthetic"),
+})

@@ -21,7 +21,7 @@ from .schema import (
     SUBSET_KINDS,
     FeatureSchema,
     FeatureSpec,
-    decode_cell,
+    decode_column,
     encode_cell,
 )
 
@@ -123,8 +123,9 @@ def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> No
         raise DataError("group vector length does not match row count")
     if not np.isfinite(X).all():
         r, c = map(int, np.argwhere(~np.isfinite(X))[0])
-        raise DataError("non-finite feature value",
-                        row=r, column=schema.specs[c].name)
+        name = schema.specs[c].name
+        raise DataError(f"non-finite feature value {float(X[r, c])!r}"
+                        f" at row {r}, column {name}", row=r, column=name)
     for j, spec in enumerate(schema.specs):
         col = X[:, j]
         if spec.kind == "count":
@@ -161,7 +162,7 @@ def load_unlabeled_csv(path, schema: FeatureSchema):
     return X, y, groups
 
 
-#: Records parsed together; bounds the cell strings held at once.
+#: Records parsed or written together; bounds the cell strings held at once.
 CSV_CHUNK_ROWS = 128
 
 
@@ -271,7 +272,9 @@ def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):
             ok = out >= 0
         else:
             out[:] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-            ok = out >= 0 if spec.kind == "years-since" else np.isfinite(out)
+            ok = np.isfinite(out)
+            if spec.kind == "years-since":
+                ok &= out >= 0
         if ok.all():
             return None
     except (KeyError, ValueError, OverflowError):
@@ -313,13 +316,15 @@ def write_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(dataset)):
-            record = [decode_cell(spec, dataset.X[i, j])
-                      for j, spec in enumerate(schema.specs)]
-            record.append(schema.label_set[dataset.y[i]])
+        for start in range(0, len(dataset), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            columns = [decode_column(spec, dataset.X[rows, j])
+                       for j, spec in enumerate(schema.specs)]
+            columns.append(list(map(schema.label_set.__getitem__,
+                                    dataset.y[rows].tolist())))
             if dataset.groups is not None:
-                record.append(str(dataset.groups[i]))
-            writer.writerow(record)
+                columns.append(list(map(str, dataset.groups[rows])))
+            writer.writerows(zip(*columns))
 
 
 # -- holdout splitting ---------------------------------------------------

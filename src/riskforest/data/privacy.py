@@ -12,7 +12,7 @@ from collections import Counter
 
 from ..errors import DataError, SchemaError
 from .dataset import Dataset
-from .schema import LABEL_COLUMN, decode_cell
+from .schema import LABEL_COLUMN, decode_column
 
 
 def k_anonymity(table, quasi_identifiers) -> int:
@@ -45,6 +45,5 @@ def _dataset_rows(ds: Dataset, qis):
             columns.append(list(ds.groups))
         else:
             j = ds.schema.spec_index(name)
-            spec = ds.schema.specs[j]
-            columns.append([decode_cell(spec, v) for v in ds.X[:, j]])
+            columns.append(decode_column(ds.schema.specs[j], ds.X[:, j]))
     return list(zip(*columns)) if columns else []

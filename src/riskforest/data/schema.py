@@ -19,6 +19,7 @@ line, so they stay hand-editable:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -256,15 +257,10 @@ def encode_cell(spec: FeatureSpec, cell: str) -> float:
         if spec.other_index is not None:
             return float(spec.other_index)
         raise ValueError(f"unknown category {text!r}")
-    if spec.kind == "years-since":
-        if text.lower() in _NULLISH:
-            if spec.sentinel.null_allowed:
-                return float(spec.sentinel.code)
-            raise ValueError("blank cell (null not allowed here)")
-        value = float(text)
-        if not value >= 0:
-            raise ValueError(f"negative years value {text!r}")
-        return value
+    if spec.kind == "years-since" and text.lower() in _NULLISH:
+        if spec.sentinel.null_allowed:
+            return float(spec.sentinel.code)
+        raise ValueError("blank cell (null not allowed here)")
     if spec.kind == "count":
         value = int(text)
         if value < 0:
@@ -273,19 +269,23 @@ def encode_cell(spec: FeatureSpec, cell: str) -> float:
             return float(value)
         except OverflowError:
             raise ValueError(f"count of {len(text)} digits too large") from None
-    # numeric
+    # numeric or years-since
     value = float(text)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
+    if value < 0 and spec.kind == "years-since":
+        raise ValueError(f"negative years value {text!r}")
     return value
 
 
-def decode_cell(spec: FeatureSpec, value: float) -> str:
-    if spec.kind in ("categorical", "binary"):
-        return spec.categories[int(value)]
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def decode_column(spec: FeatureSpec, values) -> list[str]:
+    """The CSV text of every value of a 1-d float array of one column: the
+    category name, ``str(int(v))`` for an integral value, or the float's
+    ``repr``. encode_cell reads each back to the same value."""
+    floats = values.tolist()
+    if spec.kind in SUBSET_KINDS:
+        return list(map(spec.categories.__getitem__, map(int, floats)))
+    return [str(int(v)) if v.is_integer() else repr(v) for v in floats]
 
 
 # -- the bundled 34-feature custody schema ----------------------------

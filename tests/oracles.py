@@ -215,3 +215,35 @@ def kanon_oracle(rows, qis):
         matches = sum(1 for other in keys if other == key)
         best = matches if best is None else min(best, matches)
     return best
+
+
+# -- CSV writing ------------------------------------------------------------
+
+
+def decode_cell_oracle(spec, value):
+    """One cell's CSV text: a category's name, ``str(int(v))`` for an
+    integral value, ``repr`` of the float otherwise."""
+    if spec.kind in ("categorical", "binary"):
+        return spec.categories[int(value)]
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def write_csv_oracle(dataset, path):
+    """Row by row, one decode_cell_oracle call per cell."""
+    import csv
+
+    schema = dataset.schema
+    header = list(schema.feature_names) + ["label"]
+    if dataset.groups is not None:
+        header.append(schema.group_attribute)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            record = [decode_cell_oracle(spec, dataset.X[i, j])
+                      for j, spec in enumerate(schema.specs)]
+            record.append(schema.label_set[int(dataset.y[i])])
+            if dataset.groups is not None:
+                record.append(str(dataset.groups[i]))
+            writer.writerow(record)

@@ -272,3 +272,21 @@ def test_train_rejects_feature_subset_zero(tmp_path, pipeline_dirs, capsys):
     err = capsys.readouterr().err
     assert "feature_subset_size" in err and "Traceback" not in err
     assert not (tmp_path / "t").exists()
+
+
+def test_infinite_years_since_cell_exits_one_naming_row_and_column(tmp_path,
+                                                                   capsys):
+    gen = tmp_path / "gen"
+    assert run("generate", "--n", "40", "--seed", "3", "--out", str(gen)) == 0
+    lines = (gen / "synthetic.csv").read_text().splitlines()
+    column = lines[0].split(",").index("PriorCustodyLatestYears")
+    cells = lines[3].split(",")
+    cells[column] = "inf"
+    lines[3] = ",".join(cells)
+    data = tmp_path / "inf.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", str(data), "--trees", "2", "--seed", "5",
+               "--out", str(tmp_path / "t")) == 1
+    err = capsys.readouterr().err
+    assert "row 3, column PriorCustodyLatestYears: non-finite value 'inf'" in err
+    assert "Traceback" not in err

@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskforest import (
+    Dataset,
+    FeatureSchema,
+    FeatureSpec,
+    SentinelRule,
     VALIDATION_MARGINALS,
     generate_synthetic,
     generate_two_group,
@@ -16,7 +20,7 @@ from riskforest import (
 from riskforest.data.dataset import load_unlabeled_csv
 from riskforest.errors import DataError, SchemaMismatchError
 
-from oracles import kanon_oracle
+from oracles import decode_cell_oracle, kanon_oracle, write_csv_oracle
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -128,6 +132,67 @@ def test_write_load_round_trip_cell_for_cell(tmp_path, schema):
     assert again.rows_equal(ds)
     write_csv(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_WRITE_SCHEMA = FeatureSchema(
+    specs=(
+        FeatureSpec("score", "numeric"),
+        FeatureSpec("priors", "count"),
+        FeatureSpec("recent", "years-since",
+                    sentinel=SentinelRule(code=100.0, null_allowed=True)),
+        FeatureSpec("flag", "binary"),
+        FeatureSpec("area", "categorical", categories=("N", "S", "OTHER")),
+    ),
+    label_set=("High", "Moderate", "Low"),
+    group_attribute="Group",
+)
+
+
+@st.composite
+def _write_datasets(draw):
+    n = draw(st.integers(0, 12))
+    finite = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+    numeric = st.one_of(finite, finite.map(round).map(float), st.just(-0.0))
+    count = st.one_of(st.integers(0, 40), st.integers(0, 10 ** 30)).map(float)
+    years = st.one_of(st.just(100.0), st.integers(0, 60).map(float),
+                      st.floats(0, 99, allow_nan=False))
+    row = st.tuples(numeric, count, years, st.integers(0, 1).map(float),
+                    st.integers(0, 2).map(float))
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)),
+                 dtype=float).reshape(n, 5)
+    y = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    groups = draw(st.one_of(
+        st.none(), st.lists(st.text("ab ,\"", max_size=3), min_size=n,
+                            max_size=n)))
+    return Dataset(_WRITE_SCHEMA, X, y, groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=_write_datasets(), chunk_rows=st.integers(1, 5))
+def test_write_csv_matches_per_cell_oracle(tmp_path_factory, ds, chunk_rows):
+    from unittest import mock
+
+    from riskforest.data import dataset as dataset_module
+    from riskforest.data.schema import decode_column
+
+    for j, spec in enumerate(ds.schema.specs):
+        assert decode_column(spec, ds.X[:, j]) == [
+            decode_cell_oracle(spec, v) for v in ds.X[:, j]]
+    out = tmp_path_factory.mktemp("write")
+    # Small chunks, so that rows cross chunk boundaries.
+    with mock.patch.object(dataset_module, "CSV_CHUNK_ROWS", chunk_rows):
+        write_csv(ds, out / "fast.csv")
+    write_csv_oracle(ds, out / "oracle.csv")
+    assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+def test_non_finite_dataset_value_names_row_and_column(tri_schema):
+    X = np.array([[25.0, 1, 3, 0, 0], [30.0, 1, np.inf, 0, 0]])
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [0, 1])
+    assert str(err.value) == ("non-finite feature value inf at row 1,"
+                              " column recent")
+    assert (err.value.row, err.value.column) == (1, "recent")
 
 
 def test_unlabeled_load(tmp_path, tri_schema):
@@ -314,7 +379,13 @@ _TRI_ROW = "25,1,3,No,N,High\n"
     (_TRI_HEADER + _TRI_ROW + "25,1,-2,No,N,High\n",
      "row 2, column recent: negative years value '-2'", 2, "recent"),
     (_TRI_HEADER + _TRI_ROW + "25,1,nan,No,N,High\n",
-     "row 2, column recent: negative years value 'nan'", 2, "recent"),
+     "row 2, column recent: non-finite value 'nan'", 2, "recent"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,inf,No,N,High\n",
+     "row 2, column recent: non-finite value 'inf'", 2, "recent"),
+    (_TRI_HEADER + _TRI_ROW + "25,1,1e400,No,N,High\n",
+     "row 2, column recent: non-finite value '1e400'", 2, "recent"),
+    (_TRI_HEADER + _TRI_ROW + "25,1, -inf ,No,N,High\n",
+     "row 2, column recent: non-finite value '-inf'", 2, "recent"),
     (_TRI_HEADER + _TRI_ROW + "25,1,3,Maybe,N,High\n",
      "row 2, column flag: unknown category 'Maybe'", 2, "flag"),
     (_TRI_HEADER + _TRI_ROW + "25,1,3,No,N,Extreme\n",
