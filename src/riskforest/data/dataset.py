@@ -139,7 +139,8 @@ def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> No
         if bad.any():
             r = int(np.flatnonzero(bad)[0])
             raise DataError(
-                f"value {col[r]!r} invalid for {spec.kind} feature {spec.name}",
+                f"value {float(col[r])!r} invalid for {spec.kind} feature"
+                f" {spec.name}",
                 row=r, column=spec.name,
             )
 
@@ -249,6 +250,8 @@ def _read_records(path, reader, n: int) -> list[list[str]]:
         return list(islice(reader, n))
     except csv.Error as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):

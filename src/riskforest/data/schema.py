@@ -203,8 +203,12 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path) -> "FeatureSchema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        return cls.from_text(text)
 
 
 def _fmt_code(code: float) -> str:
@@ -227,7 +231,14 @@ def _parse_feature_line(rest: str, lineno: int) -> FeatureSpec:
         null_allowed = False
         for token in extra.split():
             if token.startswith("sentinel="):
-                code = float(token.split("=", 1)[1])
+                text = token.split("=", 1)[1]
+                try:
+                    code = float(text)
+                except ValueError:
+                    code = math.nan
+                if not 0 <= code < math.inf:
+                    raise SchemaError(f"line {lineno}: bad sentinel code {text!r}"
+                                      " (want a finite number >= 0)")
             elif token == "null":
                 null_allowed = True
             else:

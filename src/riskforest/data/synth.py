@@ -36,13 +36,17 @@ def check_marginals(marginals, n_labels: int) -> np.ndarray:
     return m
 
 
-def generate_synthetic(schema: FeatureSchema, n: int, marginals,
-                       signal_strength: float, seed: int) -> Dataset:
-    """Draw n labeled rows with label information scaled by signal_strength."""
+def _check_draw(n: int, signal_strength: float) -> None:
     if n < 1:
         raise DataError(f"row count {n} must be >= 1")
     if not 0.0 <= signal_strength <= 1.0:
         raise DataError(f"signal_strength {signal_strength} outside [0, 1]")
+
+
+def generate_synthetic(schema: FeatureSchema, n: int, marginals,
+                       signal_strength: float, seed: int) -> Dataset:
+    """Draw n labeled rows with label information scaled by signal_strength."""
+    _check_draw(n, signal_strength)
     m = check_marginals(marginals, schema.n_labels)
     rng = np.random.default_rng(seed)
     y = rng.choice(schema.n_labels, size=n, p=m)
@@ -64,6 +68,7 @@ def generate_two_group(schema: FeatureSchema, n: int, marginals, gap: float,
     an informative signal the trained model's positive-prediction rates
     inherit roughly the same gap, so parity audits have something to find.
     """
+    _check_draw(n, signal_strength)
     if schema.group_attribute is None:
         raise SchemaError("two-group generation needs a schema group attribute")
     m_a = check_marginals(marginals, schema.n_labels)

@@ -18,6 +18,7 @@ label (labels are ordered highest risk first).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -59,8 +60,8 @@ class ForestConfig:
             raise DataError("feature_subset_size must be >= 1")
         if self.class_weights is not None:
             cw = tuple(float(w) for w in self.class_weights)
-            if any(w <= 0 for w in cw):
-                raise DataError("class weights must be positive")
+            if not all(0 < w < math.inf for w in cw):
+                raise DataError("class weights must be finite and positive")
             object.__setattr__(self, "class_weights", cw)
 
     def resolved(self, data: Dataset) -> "ForestConfig":
@@ -83,13 +84,12 @@ class Forest:
 
     ``n_features`` is the row length the model scores, ``n_train`` the
     size of its training set, from which ``inbag`` draws the in-bag lists
-    again, and ``data_digest`` identifies its training rows; a forest
-    built by hand from a table may leave all three None.
+    again, and ``data_digest`` identifies its training rows.
     """
 
     def __init__(self, config: ForestConfig, *, fingerprint: str, labels,
-                 table: NodeTable, n_features: int | None = None,
-                 n_train: int | None = None, data_digest: str | None = None):
+                 table: NodeTable, n_features: int, n_train: int,
+                 data_digest: str):
         self.config = config
         self.fingerprint = fingerprint
         self.labels = tuple(labels)
@@ -109,8 +109,6 @@ class Forest:
 
     @cached_property
     def inbag(self) -> tuple[np.ndarray, ...]:
-        if self.n_train is None:
-            raise DataError("forest records no n_train to draw in-bag lists from")
         return tuple(bootstrap_rows(self.config, i, self.n_train)
                      for i in range(self.config.n_trees))
 
@@ -196,7 +194,7 @@ def tally_votes(votes: np.ndarray, n_labels: int, keep=None) -> np.ndarray:
 def predict_forest(forest: Forest, row):
     """Plurality label and the per-label vote tally for one row."""
     X = np.asarray(row, dtype=float).reshape(1, -1)
-    if forest.n_features is not None and X.shape[1] != forest.n_features:
+    if X.shape[1] != forest.n_features:
         raise DataError(f"row has {X.shape[1]} values, the model"
                         f" {forest.n_features} features")
     votes = forest_votes(forest, X)
@@ -222,7 +220,7 @@ def oob_predict(forest: Forest, data: Dataset):
     """
     _check_fingerprint(forest, data)
     n = len(data)
-    if forest.data_digest is not None and data_digest(data) != forest.data_digest:
+    if data_digest(data) != forest.data_digest:
         raise FingerprintMismatchError(
             "out-of-bag figures need the training data; this dataset's digest"
             f" {data_digest(data)} is not the model's {forest.data_digest}")
@@ -330,12 +328,8 @@ def save_forest(forest: Forest, path) -> None:
     """Write the forest as a deterministic text document.
 
     In-bag lists are not written: load_forest draws them again from the
-    seed, ``n_train`` and ``bootstrap_size``. So only forests that record
-    their training set (made by train_forest or load_forest) can be saved.
+    seed, ``n_train`` and ``bootstrap_size``.
     """
-    if None in (forest.n_features, forest.n_train, forest.data_digest):
-        raise DataError("only a forest made by train_forest or load_forest"
-                        " can be saved")
     cfg = forest.config
     values = {
         "fingerprint": forest.fingerprint,

@@ -152,8 +152,8 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     cw = np.asarray(class_weights, dtype=float)
     if cw.shape != (K,):
         raise DataError(f"need {K} class weights, got {cw.shape}")
-    if not (cw > 0).all():
-        raise DataError("class weights must be positive")
+    if not ((cw > 0) & (cw < inf)).all():
+        raise DataError("class weights must be finite and positive")
     d = data.schema.n_features
     m = default_feature_subset_size(d) if feature_subset_size is None else feature_subset_size
     if not 1 <= m <= d:
@@ -164,6 +164,11 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
            else np.asarray(row_indices, dtype=np.int64))
     if idx.size == 0:
         raise DataError("cannot train on an empty row set")
+    # The split score sums squared weighted row counts; each must be finite.
+    most = float(cw.max()) * idx.size
+    if most * most == inf:
+        raise DataError(f"class weights up to {float(cw.max())!r} overflow the"
+                        f" split score on {idx.size} rows")
 
     subset_kind = np.array([spec.kind not in NUMERIC_KINDS
                             for spec in data.schema.specs])
@@ -497,7 +502,7 @@ def _pre_order_table(levels) -> NodeTable:
         size[split] += sizes[0][0::2] + sizes[0][1::2]
         sizes.insert(0, size)
     n = int(sizes[0][0])
-    feature, start, width = (np.zeros(n, dtype=np.intp) for _ in range(3))
+    feature = np.zeros(n, dtype=np.intp)
     left, right = np.arange(n), np.arange(n)  # a leaf points to itself
     threshold = np.full(n, np.nan)
     weights = np.zeros((n, levels[0][0].shape[1]))
@@ -514,22 +519,15 @@ def _pre_order_table(levels) -> NodeTable:
         threshold[at] = thr
         left[at] = at + 1
         right[at] = at + 1 + sizes[depth + 1][0::2]
-        n_codes, into = n_codes[n_codes > 0], at[n_codes > 0]
-        width[into] = np.maximum.reduceat(codes, np.cumsum(n_codes) - n_codes) + 1
-        code_at.append(np.repeat(into, n_codes))
+        code_at.append(np.repeat(at, n_codes))
         code.append(codes)
         pos = np.stack((left[at], right[at]), axis=1).ravel()
     weights[pos] = levels[-1][0]
-
-    subset = np.flatnonzero(width)  # subset splits, in pre-order
-    block = width[subset] + 1  # the flags and a False one after them
-    start[subset] = 1 + np.cumsum(block) - block
-    members = np.zeros(1 + int(block.sum()), dtype=bool)
-    members[start[np.concatenate(code_at)] + np.concatenate(code)] = True
-    return NodeTable(feature=feature, start=start, width=width, left=left,
-                     right=right, threshold=threshold, members=members,
-                     weights=weights, roots=np.zeros(1, dtype=np.intp),
-                     depth=len(levels) - 1)
+    return NodeTable(feature=feature, left=left, right=right,
+                     threshold=threshold, weights=weights,
+                     roots=np.zeros(1, dtype=np.intp),
+                     member_node=np.concatenate(code_at),
+                     member_code=np.concatenate(code))
 
 
 # -- flat node table ----------------------------------------------------
@@ -546,65 +544,80 @@ class NodeTable:
     """Every node of one or more trees in flat arrays, each tree in pre-order.
 
     Node i splits on ``feature[i]`` and has children ``left[i]`` and
-    ``right[i]``. A numeric split sends a row left when
-    ``row[feature] <= threshold[i]``. A subset split sends it left when the
-    value, truncated like ``int()``, is a member: with ``s = start[i]`` and
+    ``right[i]``, both after it. A numeric split sends a row left when
+    ``row[feature] <= threshold[i]``. A subset split has a NaN threshold
+    and sends it left when the value, truncated like ``int()``, is a
+    member: pair j makes code ``member_code[j]`` a member of node
+    ``member_node[j]``, and the pairs are kept sorted by node, then code.
+    A leaf has a NaN threshold and no members, and points to itself on
+    both sides, so extra levels leave it in place.
+
+    The constructor lays the members out as flags. ``members`` opens with
+    a False flag, then holds each subset split's flags in node order, each
+    block followed by a False flag: with ``s = start[i]`` and
     ``w = width[i]`` (one past the largest member), ``members[s:s + w]``
-    flags categories 0..w-1, and the flags just before and just after them
-    are False, so any code clipped to [-1, w] reads a flag. A numeric split
-    has start 0 and width 0 and reads one of those False flags; a subset
-    split has a NaN threshold. A leaf has both of these, and points to
-    itself on both sides, so extra levels leave it in place.
+    flags categories 0..w-1, so any code clipped to [-1, w] reads a flag.
+    Other nodes have start 0 and width 0 and read the leading False flag.
 
     ``weights[i]`` holds a leaf's class weights (zeros at splits) and
     ``vote[i]`` its vote: the argmax of the normalised weights, ties broken
     toward the lower-risk label (the higher label index). ``roots[t]`` is
-    tree t's first node and ``depth`` the deepest leaf over all trees.
+    tree t's first node and ``depth``, walked down from the roots, the
+    deepest leaf over all trees.
     """
 
-    def __init__(self, feature, start, width, left, right, threshold,
-                 members, weights, roots, depth):
+    def __init__(self, feature, left, right, threshold, weights, roots,
+                 member_node, member_code):
         self.feature = feature
-        self.start = start
-        self.width = width
         self.left = left
         self.right = right
         self.threshold = threshold
-        self.members = members
         self.weights = weights
         self.roots = roots
-        self.depth = depth
-        self.is_leaf = self.left == np.arange(len(self.left))
-        splits = self.feature[~self.is_leaf]
+        order = np.lexsort((member_code, member_node))
+        self.member_node = node = np.asarray(member_node, dtype=np.intp)[order]
+        self.member_code = code = np.asarray(member_code, dtype=np.intp)[order]
+        n = len(left)
+        self.is_leaf = left == np.arange(n)
+
+        last = np.flatnonzero(np.diff(node, append=-1))  # a split's largest code
+        self.width = np.zeros(n, dtype=np.intp)
+        self.width[node[last]] = code[last] + 1
+        block = code[last] + 2  # the flags and a False one after them
+        self.start = np.zeros(n, dtype=np.intp)
+        self.start[node[last]] = 1 + np.cumsum(block) - block
+        self.members = np.zeros(1 + int(block.sum()), dtype=bool)
+        self.members[self.start[node] + code] = True
+
+        self.depth, level = 0, roots
+        while (level := level[~self.is_leaf[level]]).size:  # children come later
+            self.depth += 1
+            level = np.concatenate((left[level], right[level]))
+
+        splits = feature[~self.is_leaf]
         self.n_columns = int(splits.max()) + 1 if splits.size else 0
         leaf_w = weights[self.is_leaf]
         dist = leaf_w / leaf_w.sum(axis=1, keepdims=True)
         K = weights.shape[1]
-        self.vote = np.zeros(len(self.left), dtype=np.intp)
+        self.vote = np.zeros(n, dtype=np.intp)
         self.vote[self.is_leaf] = K - 1 - np.argmax(dist[:, ::-1], axis=1)
 
     @classmethod
     def concatenate(cls, tables) -> NodeTable:
-        """The tables' trees in one table, laid out as TableBuilder would."""
+        """The tables' trees in one table, in order."""
         n_nodes = np.array([len(t.left) for t in tables])
         node0 = np.cumsum(n_nodes) - n_nodes
-        # Only the first table's leading False flag is kept.
-        n_flags = np.array([t.members.size - 1 for t in tables])
 
-        def joined(name):
-            return np.concatenate([getattr(t, name) for t in tables])
+        def joined(name, shift=False):
+            parts = [getattr(t, name) for t in tables]
+            whole = np.concatenate(parts)
+            return whole + np.repeat(node0, list(map(len, parts))) if shift else whole
 
-        width, shift = joined("width"), np.repeat(node0, n_nodes)
-        flag0 = np.repeat(np.cumsum(n_flags) - n_flags, n_nodes)
-        return cls(
-            feature=joined("feature"), start=joined("start") + (width > 0) * flag0,
-            width=width, left=joined("left") + shift, right=joined("right") + shift,
-            threshold=joined("threshold"),
-            members=np.concatenate([tables[0].members[:1]]
-                                   + [t.members[1:] for t in tables]),
-            weights=joined("weights"),
-            roots=joined("roots") + np.repeat(node0, [t.n_trees for t in tables]),
-            depth=max(t.depth for t in tables))
+        return cls(feature=joined("feature"), left=joined("left", True),
+                   right=joined("right", True), threshold=joined("threshold"),
+                   weights=joined("weights"), roots=joined("roots", True),
+                   member_node=joined("member_node", True),
+                   member_code=joined("member_code"))
 
     @property
     def n_trees(self) -> int:
@@ -698,40 +711,35 @@ class TableBuilder:
         self.n_categories = n_categories
         # Typed buffers: a list of Python numbers takes four times the memory.
         self.feature = array("q")
-        self.start = array("q")
-        self.width = array("q")
         self.left = array("q")
         self.right = array("q")
         self.threshold = array("d")
-        self.members = bytearray(1)
+        self.member_node = array("q")
+        self.member_code = array("q")
         self.leaf_nodes = array("q")
         self.leaf_weights = array("d")
         self.roots: list[int] = []
-        self.depth = 0
-        self._open: list[tuple[int, int]] = []  # splits awaiting a right child
-        self._next_depth: int | None = None  # None: no node may come next
+        self._open: list[int] = []  # splits awaiting a right child
+        self._tree_open = False  # whether a node may come next
 
     def start_tree(self) -> None:
-        if self.roots and self._next_depth is not None:
+        if self._tree_open:
             raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
         self.roots.append(len(self.threshold))
-        self._next_depth = 0
+        self._tree_open = True
 
-    def _append(self, feature, start, width, left, right) -> None:
+    def _append(self, feature, left, right, threshold) -> None:
         self.feature.append(feature)
-        self.start.append(start)
-        self.width.append(width)
         self.left.append(left)
         self.right.append(right)
+        self.threshold.append(threshold)
 
-    def _split(self, i: int, depth: int, feature: int, threshold, members) -> None:
+    def _split(self, i: int, feature: int, threshold, members) -> None:
         if feature < 0 or (self.n_features is not None
                            and feature >= self.n_features):
             raise DataError(f"split feature {feature} outside the model's"
                             f" {self.n_features} features")
-        if members is None:
-            start = width = 0
-        else:
+        if members is not None:
             if not members:
                 raise DataError("empty category subset")
             limit = (MAX_CATEGORY_CODE + 1 if self.n_categories is None
@@ -740,35 +748,25 @@ class TableBuilder:
             if bad:
                 raise DataError(f"category {bad[0]} outside feature {feature}'s"
                                 f" {limit} categories")
-            start = len(self.members)
-            width = max(members) + 1
-            flags = bytearray(width + 1)
-            for c in members:
-                flags[c] = 1
-            self.members += flags
+            self.member_node.extend([i] * len(members))
+            self.member_code.extend(members)
             threshold = float("nan")
-        self._append(feature, start, width, i + 1, -1)
-        self.threshold.append(threshold)
-        self._open.append((i, depth))
-        self._next_depth = depth + 1
+        self._append(feature, i + 1, -1, threshold)
+        self._open.append(i)
 
-    def _leaf(self, i: int, depth: int, w: list[float]) -> None:
+    def _leaf(self, i: int, w: list[float]) -> None:
         K = self.n_labels = self.n_labels or len(w)
         if len(w) != K:
             raise DataError(f"leaf has {len(w)} class weights, expected {K}")
         if not 0 < sum(w) < inf:  # also false when any weight is not finite
             raise DataError("leaf class weights must be finite and sum to > 0")
-        self._append(0, 0, 0, i, i)
-        self.threshold.append(float("nan"))
+        self._append(0, i, i, float("nan"))
         self.leaf_nodes.append(i)
         self.leaf_weights.extend(w)
-        self.depth = max(self.depth, depth)
         if self._open:
-            parent, parent_depth = self._open.pop()
-            self.right[parent] = i + 1
-            self._next_depth = parent_depth + 1
+            self.right[self._open.pop()] = i + 1
         else:
-            self._next_depth = None
+            self._tree_open = False
 
     def add_line(self, line: str) -> None:
         """One node line: ``leaf w,..``, ``split f <= t`` or ``split f in c,..``."""
@@ -788,18 +786,18 @@ class TableBuilder:
             pass
         if parsed is None:
             raise DataError(f"malformed node line {line!r}")
-        i, depth = len(self.threshold), self._next_depth
-        if depth is None:
+        if not self._tree_open:
             raise DataError("node after the end of its tree")
+        i = len(self.threshold)
         if kind == "leaf":
-            self._leaf(i, depth, parsed)
+            self._leaf(i, parsed)
         else:
-            self._split(i, depth, *parsed)
+            self._split(i, *parsed)
 
     def finish(self) -> NodeTable:
         if not self.roots:
             raise DataError("no trees")
-        if self._next_depth is not None:
+        if self._tree_open:
             raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
 
         def ints(buffer):
@@ -809,13 +807,13 @@ class TableBuilder:
         weights[ints(self.leaf_nodes)] = np.frombuffer(
             self.leaf_weights).reshape(-1, self.n_labels)
         return NodeTable(
-            feature=ints(self.feature), start=ints(self.start),
-            width=ints(self.width), left=ints(self.left), right=ints(self.right),
+            feature=ints(self.feature), left=ints(self.left),
+            right=ints(self.right),
             threshold=np.frombuffer(self.threshold).copy(),
-            members=np.frombuffer(self.members, dtype=bool).copy(),
             weights=weights,
             roots=np.array(self.roots, dtype=np.intp),
-            depth=self.depth,
+            member_node=ints(self.member_node),
+            member_code=ints(self.member_code),
         )
 
 

@@ -159,6 +159,12 @@ def replay_tree_predict(tree, row):
     return w / w.sum()
 
 
+def tree_depth(node):
+    """Splits on the longest path down from a library TreeNode, by recursion."""
+    return 0 if node.is_leaf else 1 + max(tree_depth(node.left),
+                                          tree_depth(node.right))
+
+
 # -- metrics -----------------------------------------------------------------
 
 

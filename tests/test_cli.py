@@ -290,3 +290,54 @@ def test_infinite_years_since_cell_exits_one_naming_row_and_column(tmp_path,
     err = capsys.readouterr().err
     assert "row 3, column PriorCustodyLatestYears: non-finite value 'inf'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--two-group",)])
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--n", "-3", "row count -3"), ("--n", "0", "row count 0"),
+    ("--signal", "5", "signal_strength 5.0"),
+    ("--signal", "-1", "signal_strength -1.0")])
+def test_generate_rejects_bad_row_count_or_signal(tmp_path, capsys, mode, flag,
+                                                  value, shown):
+    out = tmp_path / "g"
+    assert run("generate", *mode, flag, value, "--seed", "1",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert shown in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights", ["inf,1,1", "nan,1,1", "1e308,1e308,1e308"])
+def test_train_rejects_weights_that_make_an_unloadable_model(tmp_path, capsys,
+                                                            weights):
+    gen = tmp_path / "gen"
+    assert run("generate", "--n", "60", "--seed", "3", "--out", str(gen)) == 0
+    out = tmp_path / "t"
+    assert run("train", "--data", str(gen / "synthetic.csv"), "--trees", "2",
+               "--seed", "5", "--weights", weights, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "class weights" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schema_text, csv_bytes, shown", [
+    ("labels: High, Low\nfeature: Y | years-since | sentinel=abc\n",
+     b"Y,label\n1,High\n", "line 2: bad sentinel code 'abc'"),
+    ("labels: High, Low\nfeature: Y | years-since | sentinel=-5\n",
+     b"Y,label\n1,High\n", "line 2: bad sentinel code '-5'"),
+    ("labels: High, Low\n# caf\udce9\nfeature: Y | numeric\n",
+     b"Y,label\n1,High\n", "schema: not UTF-8 text"),
+    ("labels: High, Low\nfeature: Y | numeric\n",
+     b"Y,label\n1,High\n2,caf\xe9\n", "data.csv: not UTF-8 text"),
+])
+def test_bad_schema_or_csv_encoding_exits_one_without_traceback(
+        tmp_path, capsys, schema_text, csv_bytes, shown):
+    schema = tmp_path / "schema"
+    schema.write_bytes(schema_text.encode("utf-8", "surrogateescape"))
+    data = tmp_path / "data.csv"
+    data.write_bytes(csv_bytes)
+    assert run("k-anon", "--schema", str(schema), "--data", str(data),
+               "--quasi", "Y", "--out", str(tmp_path / "k")) == 1
+    err = capsys.readouterr().err
+    assert shown in err and "Traceback" not in err

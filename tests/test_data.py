@@ -25,7 +25,10 @@ from oracles import decode_cell_oracle, kanon_oracle, write_csv_oracle
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -193,6 +196,14 @@ def test_non_finite_dataset_value_names_row_and_column(tri_schema):
     assert str(err.value) == ("non-finite feature value inf at row 1,"
                               " column recent")
     assert (err.value.row, err.value.column) == (1, "recent")
+
+
+def test_invalid_dataset_value_is_named_as_a_plain_float(tri_schema):
+    X = np.array([[25.0, 1, 3, 0, 0], [30.0, -1, 3, 0, 0]])
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [0, 1])
+    assert str(err.value) == "value -1.0 invalid for count feature priors"
+    assert (err.value.row, err.value.column) == (1, "priors")
 
 
 def test_unlabeled_load(tmp_path, tri_schema):
@@ -404,13 +415,15 @@ _TRI_ROW = "25,1,3,No,N,High\n"
     (_TRI_HEADER + _TRI_ROW * 1103 + "25,zz,3,No,N,High\n",
      "row 1104, column priors: invalid literal for int() with base 10: 'zz'",
      1104, "priors"),
+    ((_TRI_HEADER + _TRI_ROW + "25,1,3,No,N,High\n").encode() + b"\xe9\n",
+     "{path}: not UTF-8 text (invalid continuation byte)", None, None),
 ])
 def test_bad_cell_errors_name_row_column_and_reason(tmp_path, tri_schema, text,
                                                      message, row, column):
     path = _write(tmp_path, text)
     with pytest.raises(DataError) as err:
         load_csv(path, tri_schema)
-    assert str(err.value) == message
+    assert str(err.value) == message.format(path=path)
     assert (err.value.row, err.value.column) == (row, column)
 
 

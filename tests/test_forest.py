@@ -98,7 +98,9 @@ def _hand_forest(vote_labels, schema):
     cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
     return Forest(config=cfg, table=builder.finish(),
-                  fingerprint=schema.fingerprint(), labels=schema.label_set)
+                  fingerprint=schema.fingerprint(), labels=schema.label_set,
+                  n_features=schema.n_features, n_train=1,
+                  data_digest="0" * 16)
 
 
 def test_identical_trees_vote_unanimously(schema):
@@ -248,7 +250,8 @@ def test_calibration_error_when_no_usable_grid_point():
 def test_invalid_config_rejected():
     with pytest.raises(DataError):
         ForestConfig(n_trees=0)
-    with pytest.raises(DataError):
-        ForestConfig(class_weights=(1.0, 0.0, 1.0))
+    for weights in ((1.0, 0.0, 1.0), (np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0)):
+        with pytest.raises(DataError):
+            ForestConfig(class_weights=weights)
     with pytest.raises(DataError):
         ForestConfig(bootstrap_size=0)

@@ -25,7 +25,7 @@ from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_votes
 from riskforest.tree import FORMAT_LINE, deserialize_tree, tree_apply
 
-from oracles import replay_tree_predict
+from oracles import replay_tree_predict, tree_depth
 
 
 def _replay_votes(tree, X):
@@ -85,10 +85,12 @@ def test_trained_forest_table_equals_the_table_loaded_from_its_file(
     save_forest(hart_forest, path)
     loaded = load_forest(path).table
     for name in ("feature", "start", "width", "left", "right", "threshold",
-                 "members", "weights", "roots", "vote"):
+                 "members", "member_node", "member_code", "weights", "roots",
+                 "vote"):
         assert np.array_equal(getattr(hart_forest.table, name),
                               getattr(loaded, name), equal_nan=True), name
-    assert hart_forest.table.depth == loaded.depth
+    assert (hart_forest.table.depth == loaded.depth
+            == max(map(tree_depth, hart_forest.trees)))
 
 
 def test_more_than_64_categories_train_and_predict():

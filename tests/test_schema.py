@@ -75,3 +75,20 @@ def test_single_label_rejected():
 
 def test_binary_defaults_to_no_yes():
     assert FeatureSpec("b", "binary").categories == ("No", "Yes")
+
+
+@pytest.mark.parametrize("code", ["abc", "-5", "inf", "nan", "1e400"])
+def test_bad_sentinel_code_is_located(code):
+    text = ("labels: High, Low\nfeature: X | numeric\n"
+            f"feature: Y | years-since | sentinel={code} null\n")
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema.from_text(text)
+    assert str(err.value).startswith(f"line 3: bad sentinel code '{code}'")
+
+
+def test_non_utf8_schema_file_is_refused_naming_it(tmp_path):
+    path = tmp_path / "schema"
+    path.write_bytes(b"labels: High, Low\n# caf\xe9\nfeature: X | numeric\n")
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema.load(path)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid continuation byte)"

@@ -13,7 +13,8 @@ from riskforest.tree import (
     tree_votes,
 )
 
-from oracles import greedy_tree_oracle, oracle_tree_predict, replay_tree_predict
+from oracles import (greedy_tree_oracle, oracle_tree_predict,
+                     replay_tree_predict, tree_depth)
 
 
 def _tree(*lines):
@@ -154,11 +155,7 @@ def test_chosen_splits_never_increase_impurity(tri_schema):
 def test_max_depth_limits_split_chain(tri_schema):
     ds = _random_tri_dataset(tri_schema, np.random.default_rng(23), n=100)
     tree = train_tree(ds, (1.0, 1.0, 1.0), min_leaf=1, max_depth=2, seed=4)
-
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-    assert depth(tree) <= 2
+    assert tree_depth(tree) <= 2
 
 
 def test_large_categorical_prefix_scan_path(schema):
@@ -273,8 +270,9 @@ def test_full_feature_tree_predicts_like_greedy_oracle(ds, weights, min_leaf,
        depth=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
 def test_trained_table_equals_table_parsed_from_its_node_lines(
         ds, weights, subset_size, min_leaf, depth, seed):
-    # train_tree lays the tree out in pre-order, category flags included,
-    # exactly as TableBuilder lays out the same tree read from its lines
+    # train_tree lays the tree out in pre-order, member pairs and category
+    # flags included, exactly as TableBuilder lays out the same tree read
+    # from its lines
     table = train_tree(ds, weights, feature_subset_size=subset_size,
                        min_leaf=min_leaf, max_depth=depth, seed=seed).table
     builder = TableBuilder()
@@ -283,11 +281,12 @@ def test_trained_table_equals_table_parsed_from_its_node_lines(
         builder.add_line(line)
     parsed = builder.finish()
     for name in ("feature", "start", "width", "left", "right", "threshold",
-                 "members", "weights", "roots", "vote"):
+                 "members", "member_node", "member_code", "weights", "roots",
+                 "vote"):
         got, want = getattr(table, name), getattr(parsed, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want, equal_nan=True), name
-    assert table.depth == parsed.depth
+    assert table.depth == parsed.depth == tree_depth(table.tree(0))
 
 
 def test_prefix_oracle_orders_by_high_risk_fraction():
