@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -89,6 +90,29 @@ def _env_flag(name: str) -> bool:
     if value is None:
         raise UsageError(f"{ENV_PREFIX}{name} must be 0/false/no or 1/true/yes,"
                          f" got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _epsilon(text: str) -> float:
+    """--epsilon: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
     return value
 
 
@@ -481,12 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=_env("DATA"), help="dataset CSV")
         p.add_argument("--out", default=_env("OUT"), help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=_env("SEED"))
+            p.add_argument("--seed", type=_seed, default=_env("SEED"))
         if model:
             p.add_argument("--model", default=_env("MODEL"),
                            help="serialized forest file")
         if epsilon:
-            p.add_argument("--epsilon", type=float,
+            p.add_argument("--epsilon", type=_epsilon,
                            default=_env("EPSILON", "0.05"))
 
     p = sub.add_parser("reproduce-tables",

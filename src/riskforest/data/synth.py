@@ -28,11 +28,13 @@ VALIDATION_MARGINALS = (0.1186, 0.4835, 0.3979)
 def check_marginals(marginals, n_labels: int) -> np.ndarray:
     m = np.asarray(marginals, dtype=float)
     if m.shape != (n_labels,):
-        raise DataError(f"need {n_labels} marginals, got {m.shape}")
-    if (m < 0).any():
-        raise DataError("marginals must be nonnegative")
-    if abs(m.sum() - 1.0) > 1e-9:
-        raise DataError(f"marginals sum to {m.sum()!r}, not 1")
+        raise DataError(f"need {n_labels} marginals,"
+                        f" got {m.size if m.ndim == 1 else m.shape}")
+    # Written so that NaN fails both checks.
+    if not (m >= 0).all():
+        raise DataError(f"marginals must be nonnegative numbers, got {m.tolist()}")
+    if not abs(m.sum() - 1.0) <= 1e-9:
+        raise DataError(f"marginals sum to {float(m.sum())!r}, not 1")
     return m
 
 

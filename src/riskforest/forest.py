@@ -26,13 +26,7 @@ import numpy as np
 
 from .data.dataset import Dataset, split_holdout
 from .errors import CalibrationError, DataError, FingerprintMismatchError
-from .tree import (
-    NodeTable,
-    TableBuilder,
-    TreeNode,
-    default_feature_subset_size,
-    train_tree,
-)
+from .tree import NodeTable, TableBuilder, default_feature_subset_size, train_tree
 
 FOREST_FORMAT_LINE = "riskforest-forest v2"
 
@@ -101,11 +95,6 @@ class Forest:
     @property
     def n_labels(self) -> int:
         return len(self.labels)
-
-    @property
-    def trees(self) -> tuple[TreeNode, ...]:
-        """Views of every tree's root in the node table."""
-        return tuple(self.table.tree(t) for t in range(self.table.n_trees))
 
     @cached_property
     def inbag(self) -> tuple[np.ndarray, ...]:

@@ -241,10 +241,11 @@ def derive_metrics(cm: ConfusionMatrix, high_label: str | None = None,
 def random_baseline(marginals) -> float:
     """Accuracy of guessing labels from the class marginals: sum of p_i^2."""
     m = np.asarray(marginals, dtype=float)
-    if (m < 0).any():
-        raise DataError("marginals must be nonnegative")
-    if abs(m.sum() - 1.0) > 1e-9:
-        raise DataError(f"marginals sum to {m.sum()!r}, not 1")
+    # Written so that NaN fails both checks.
+    if not (m >= 0).all():
+        raise DataError(f"marginals must be nonnegative numbers, got {m.tolist()}")
+    if not abs(m.sum() - 1.0) <= 1e-9:
+        raise DataError(f"marginals sum to {float(m.sum())!r}, not 1")
     return float(m @ m)
 
 

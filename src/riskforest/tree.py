@@ -69,8 +69,6 @@ LEVEL_BLOCK_PAIRS = 1 << 16
 #: (segment, subset) scores one pass of the exhaustive subset search holds.
 MASK_BLOCK = 1 << 12
 
-FORMAT_LINE = "riskforest-tree v1"
-
 
 @dataclass(frozen=True)
 class SplitRule:
@@ -151,7 +149,8 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     K = data.schema.n_labels
     cw = np.asarray(class_weights, dtype=float)
     if cw.shape != (K,):
-        raise DataError(f"need {K} class weights, got {cw.shape}")
+        raise DataError(f"need {K} class weights,"
+                        f" got {cw.size if cw.ndim == 1 else cw.shape}")
     if not ((cw > 0) & (cw < inf)).all():
         raise DataError("class weights must be finite and positive")
     d = data.schema.n_features
@@ -173,7 +172,7 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     subset_kind = np.array([spec.kind not in NUMERIC_KINDS
                             for spec in data.schema.specs])
     grower = _LevelGrower(data.ranks, data.y, subset_kind, cw, m, min_leaf)
-    return grower.grow(idx, max_depth, seed).tree(0)
+    return TreeNode(grower.grow(idx, max_depth, seed), 0)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -669,10 +668,6 @@ class NodeTable:
             nodes = np.where(go_left, self.left[nodes], self.right[nodes])
         out[:, r0:r0 + b] = nodes.reshape(T, b)
 
-    def tree(self, t: int) -> TreeNode:
-        """A view of tree t's root."""
-        return TreeNode(self, int(self.roots[t]))
-
     def subtree_lines(self, root: int) -> list[str]:
         """Pre-order node lines of node ``root`` and the nodes below it,
         floats in repr round-trip form."""
@@ -701,11 +696,12 @@ class TableBuilder:
     """Parses node lines, given in pre-order tree after tree, into a NodeTable.
 
     It checks the structure as it goes (every split gets two subtrees, no
-    node follows a finished tree) and, when told the label, feature and
-    category counts, that every node fits them. Violations raise DataError.
+    node follows a finished tree) and that every node fits the label and
+    feature counts and, when given them, each feature's category count.
+    Violations raise DataError.
     """
 
-    def __init__(self, n_labels=None, n_features=None, n_categories=None):
+    def __init__(self, n_labels: int, n_features: int, n_categories=None):
         self.n_labels = n_labels
         self.n_features = n_features
         self.n_categories = n_categories
@@ -735,8 +731,7 @@ class TableBuilder:
         self.threshold.append(threshold)
 
     def _split(self, i: int, feature: int, threshold, members) -> None:
-        if feature < 0 or (self.n_features is not None
-                           and feature >= self.n_features):
+        if not 0 <= feature < self.n_features:
             raise DataError(f"split feature {feature} outside the model's"
                             f" {self.n_features} features")
         if members is not None:
@@ -755,9 +750,9 @@ class TableBuilder:
         self._open.append(i)
 
     def _leaf(self, i: int, w: list[float]) -> None:
-        K = self.n_labels = self.n_labels or len(w)
-        if len(w) != K:
-            raise DataError(f"leaf has {len(w)} class weights, expected {K}")
+        if len(w) != self.n_labels:
+            raise DataError(f"leaf has {len(w)} class weights,"
+                            f" expected {self.n_labels}")
         if not 0 < sum(w) < inf:  # also false when any weight is not finite
             raise DataError("leaf class weights must be finite and sum to > 0")
         self._append(0, i, i, float("nan"))
@@ -820,44 +815,8 @@ class TableBuilder:
 # -- prediction ----------------------------------------------------------
 
 
-def tree_apply(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Normalised class distribution of the leaf each row lands in; (n, K)."""
-    w = tree.table.weights[tree.table.leaves(X, [tree.index])[0]]
-    return w / w.sum(axis=1, keepdims=True)
-
-
 def predict_tree(tree: TreeNode, row) -> np.ndarray:
     """Normalised class distribution of the leaf this row lands in."""
-    return tree_apply(tree, np.asarray(row, dtype=float).reshape(1, -1))[0]
-
-
-def tree_votes(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Per-row argmax labels with ties broken toward the lower-risk label."""
-    return tree.table.vote[tree.table.leaves(X, [tree.index])[0]]
-
-
-# -- serialization ------------------------------------------------------
-
-
-def serialize_tree(tree: TreeNode) -> str:
-    """Pre-order node list, one node per line. Floats use repr round-trip."""
-    lines = [FORMAT_LINE] + tree.table.subtree_lines(tree.index)
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_tree(text: str) -> TreeNode:
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1] != FORMAT_LINE:
-        raise DataError(f"not a tree document (expected {FORMAT_LINE!r})")
-    builder = TableBuilder()
-    builder.start_tree()
-    for lineno, line in lines[1:]:
-        try:
-            builder.add_line(line)
-        except DataError as exc:
-            raise DataError(f"tree document, line {lineno}: {exc}") from None
-    try:
-        return builder.finish().tree(0)
-    except DataError as exc:
-        raise DataError(f"tree document: {exc}") from None
+    X = np.asarray(row, dtype=float).reshape(1, -1)
+    w = tree.table.weights[tree.table.leaves(X, [tree.index]).item()]
+    return w / w.sum()

@@ -5,6 +5,9 @@ loops, per-candidate recomputation from scratch) and shares no code with
 the library paths it verifies. Tie handling follows the documented
 contract: candidates whose scores agree within a small tolerance count
 as tied and the earliest candidate in scan order wins.
+
+The helpers at the end are not oracles: they reach one tree of a node
+table through the table's public methods, for the tests that need one.
 """
 
 from __future__ import annotations
@@ -163,6 +166,43 @@ def tree_depth(node):
     """Splits on the longest path down from a library TreeNode, by recursion."""
     return 0 if node.is_leaf else 1 + max(tree_depth(node.left),
                                           tree_depth(node.right))
+
+
+# -- one tree of a node table ------------------------------------------------
+
+
+def tree_lines(tree):
+    """Pre-order node lines of a library TreeNode and the nodes below it."""
+    return tree.table.subtree_lines(tree.index)
+
+
+def tree_from_lines(lines, n_labels, n_features):
+    """The one tree given by its pre-order node lines, as a root TreeNode."""
+    from riskforest.tree import TableBuilder, TreeNode
+
+    builder = TableBuilder(n_labels, n_features)
+    builder.start_tree()
+    for line in lines:
+        builder.add_line(line)
+    return TreeNode(builder.finish(), 0)
+
+
+def forest_trees(forest):
+    """A root TreeNode for each tree of a forest, in order."""
+    from riskforest.tree import TreeNode
+
+    return [TreeNode(forest.table, root) for root in forest.table.roots.tolist()]
+
+
+def tree_apply(tree, X):
+    """(n_rows, K) normalised class weights of the leaf each row reaches."""
+    w = tree.table.weights[tree.table.leaves(X, [tree.index])[0]]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def tree_votes(tree, X):
+    """The vote of the leaf each row reaches."""
+    return tree.table.vote[tree.table.leaves(X, [tree.index])[0]]
 
 
 # -- metrics -----------------------------------------------------------------

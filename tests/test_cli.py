@@ -341,3 +341,52 @@ def test_bad_schema_or_csv_encoding_exits_one_without_traceback(
                "--quasi", "Y", "--out", str(tmp_path / "k")) == 1
     err = capsys.readouterr().err
     assert shown in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def two_group_model(tmp_path_factory):
+    """A small two-group CSV and a three-tree model trained on it."""
+    base = tmp_path_factory.mktemp("two_group")
+    gen, tr = base / "gen", base / "tr"
+    assert run("generate", "--n", "300", "--seed", "13", "--two-group",
+               "--out", str(gen)) == 0
+    assert run("train", "--data", str(gen / "synthetic.csv"), "--group", "Group",
+               "--trees", "3", "--seed", "5", "--out", str(tr)) == 0
+    return gen / "synthetic.csv", tr / "model.forest"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_AUDIT = ("audit", "--model", "{model}", "--data", "{data}", "--group", "Group")
+
+
+@pytest.mark.parametrize("argv, env, shown", [
+    (("generate", "--n", "50", "--seed", "-1"), {}, "argument --seed"),
+    (("generate", "--n", "50"), {"RISKFOREST_SEED": "-1"}, "argument --seed"),
+    (("train", "--data", "{data}", "--trees", "2", "--seed", "-1"), {},
+     "argument --seed"),
+    (_AUDIT + ("--epsilon", "nan"), {}, "argument --epsilon"),
+    (_AUDIT + ("--epsilon", "-1"), {}, "argument --epsilon"),
+    (_AUDIT + ("--epsilon", "inf"), {}, "argument --epsilon"),
+    (_AUDIT, {"RISKFOREST_EPSILON": "nan"}, "argument --epsilon"),
+    (("generate", "--n", "50", "--seed", "1", "--marginals", "nan,0.5,0.5"), {},
+     "[nan, 0.5, 0.5]"),
+    (("baseline", "--marginals", "0.5,nan"), {}, "[0.5, nan]"),
+    (("baseline", "--marginals", "0.5,0.6"), {}, "marginals sum to 1.1, not 1"),
+])
+def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
+        tmp_path, capsys, monkeypatch, two_group_model, argv, env, shown):
+    data, model = two_group_model
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    code = run(*(a.format(data=data, model=model) for a in argv),
+               "--out", str(out))
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert shown in err
+    assert "Traceback" not in err and "np.float64" not in err
+    for report in out.rglob("*.json"):
+        json.loads(report.read_text(), parse_constant=_refuse_constant)

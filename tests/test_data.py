@@ -239,10 +239,12 @@ def test_generator_label_frequencies_near_marginals(schema):
 
 
 def test_generator_marginal_count_mismatch(schema):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"need 3 marginals, got 2$"):
         generate_synthetic(schema, 10, (0.5, 0.5), 0.5, 1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"sum to 1\.1, not 1"):
         generate_synthetic(schema, 10, (0.5, 0.4, 0.2), 0.5, 1)
+    with pytest.raises(DataError, match=r"got \[nan, 0\.5, 0\.5\]"):
+        generate_synthetic(schema, 10, (np.nan, 0.5, 0.5), 0.5, 1)
 
 
 #: Frozen quality bar: what the exhaustive-split reference tree scored on
@@ -252,7 +254,8 @@ REFERENCE_TREE_ACCURACY = 0.9388
 
 def test_signal_one_reference_tree_hits_frozen_accuracy(schema):
     from riskforest import split_holdout, train_tree
-    from riskforest.tree import tree_votes
+
+    from oracles import tree_votes
 
     ds = generate_synthetic(schema, 5000, VALIDATION_MARGINALS, 1.0, 7)
     train, hold = split_holdout(ds, 0.5, 11)

@@ -23,7 +23,9 @@ from riskforest.forest import (
     count_policy_errors,
     derive_tree_seed,
 )
-from riskforest.tree import TableBuilder, serialize_tree
+from riskforest.tree import TableBuilder
+
+from oracles import forest_trees, tree_lines
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def test_ensemble_of_one_identity_bootstrap_acts_like_single_tree(small_data):
                       feature_subset_size=forest.config.feature_subset_size,
                       min_leaf=2, max_depth=6,
                       seed=derive_tree_seed(123, 0))
-    assert serialize_tree(forest.trees[0]) == serialize_tree(lone)
+    assert tree_lines(forest_trees(forest)[0]) == tree_lines(lone)
     assert list(forest.inbag[0]) == list(range(len(small_data)))
 
 
@@ -85,12 +87,12 @@ def test_train_forest_calls_train_tree_once_per_tree(small_data, monkeypatch):
         table = forest.table
         end = table.roots[t + 1] if t + 1 < table.n_trees else len(table.left)
         assert nodes == end - table.roots[t]
-        assert serialize_tree(root) == serialize_tree(forest.trees[t])
+        assert tree_lines(root) == tree_lines(forest_trees(forest)[t])
 
 
 def _hand_forest(vote_labels, schema):
     """One single-leaf tree per label index, voting for that label."""
-    builder = TableBuilder()
+    builder = TableBuilder(3, schema.n_features)
     for k in vote_labels:
         builder.start_tree()
         builder.add_line("leaf " + ",".join("1.0" if j == k else "0.0"

@@ -166,10 +166,13 @@ def test_baseline_never_beats_majority_class(raw):
 
 
 def test_baseline_validates_marginals():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"sum to 1\.1, not 1"):
         random_baseline((0.5, 0.6))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="nonnegative"):
         random_baseline((-0.1, 1.1))
+    for bad in ((0.5, np.nan), (np.nan, np.nan), (np.inf, 0.0)):
+        with pytest.raises(DataError):
+            random_baseline(bad)
 
 
 # -- ROC / AUC ----------------------------------------------------------------

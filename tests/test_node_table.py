@@ -23,9 +23,8 @@ from riskforest import (
 )
 from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_votes
-from riskforest.tree import FORMAT_LINE, deserialize_tree, tree_apply
-
-from oracles import replay_tree_predict, tree_depth
+from oracles import (forest_trees, replay_tree_predict, tree_apply, tree_depth,
+                     tree_from_lines)
 
 
 def _replay_votes(tree, X):
@@ -73,7 +72,7 @@ def test_table_votes_equal_replay_oracle_tree_by_tree(hart_data, hart_forest,
     loaded = load_forest(path, hart_data.schema)
     for forest in (hart_forest, loaded):
         votes = forest_votes(forest, hart_data.X)
-        for t, tree in enumerate(hart_forest.trees):
+        for t, tree in enumerate(forest_trees(hart_forest)):
             assert (votes[t] == _replay_votes(tree, hart_data.X)).all()
 
 
@@ -90,7 +89,7 @@ def test_trained_forest_table_equals_the_table_loaded_from_its_file(
         assert np.array_equal(getattr(hart_forest.table, name),
                               getattr(loaded, name), equal_nan=True), name
     assert (hart_forest.table.depth == loaded.depth
-            == max(map(tree_depth, hart_forest.trees)))
+            == max(map(tree_depth, forest_trees(hart_forest))))
 
 
 def test_more_than_64_categories_train_and_predict():
@@ -114,7 +113,7 @@ def test_more_than_64_categories_train_and_predict():
                for c in line.split(" in ")[1].split(",")]
     assert max(members) >= 64
     votes = forest_votes(forest, X)
-    for t, tree in enumerate(forest.trees):
+    for t, tree in enumerate(forest_trees(forest)):
         assert (votes[t] == _replay_votes(tree, X)).all()
     pred, _ = predict_dataset(forest, data)
     assert float(np.mean(pred == y)) >= 0.99
@@ -122,11 +121,10 @@ def test_more_than_64_categories_train_and_predict():
 
 def test_codes_outside_a_subset_go_right_like_int_membership():
     # Three subset nodes, so their category flags sit side by side.
-    tree = deserialize_tree("\n".join([
-        FORMAT_LINE,
+    tree = tree_from_lines([
         "split 0 in 1,3",
         "split 1 in 0,2", "leaf 1.0,0.0,0.0", "leaf 0.0,1.0,0.0",
-        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"]))
+        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"], 3, 2)
     values = np.r_[np.arange(-6.0, 8.0, 0.5), -1e30, 1e30]
     X = np.array([(a, b) for a in values for b in values])
     got = tree_apply(tree, X)
@@ -227,12 +225,14 @@ def test_leaf_arity_must_match_labels(tmp_path, model_lines):
 
 
 def test_split_feature_beyond_schema_is_rejected(tmp_path, model_lines):
-    lines = list(model_lines)
-    i = _first(lines, "split ")
-    _, _, op, arg = lines[i].split(" ")
-    lines[i] = f"split {hart_schema().n_features} {op} {arg}"
-    with pytest.raises(DataError, match=f"line {i + 1}: split feature"):
-        _load_lines(tmp_path, lines, hart_schema())
+    i = _first(model_lines, "split ")
+    _, _, op, arg = model_lines[i].split(" ")
+    for feature in (hart_schema().n_features, -1):
+        lines = list(model_lines)
+        lines[i] = f"split {feature} {op} {arg}"
+        with pytest.raises(DataError,
+                           match=f"line {i + 1}: split feature {feature} outside"):
+            _load_lines(tmp_path, lines, hart_schema())
 
 
 def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):

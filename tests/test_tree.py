@@ -2,24 +2,12 @@ import numpy as np
 import pytest
 
 from riskforest import Dataset, SplitRule, train_tree
-from riskforest.errors import SchemaError
-from riskforest.tree import (
-    FORMAT_LINE,
-    TableBuilder,
-    deserialize_tree,
-    predict_tree,
-    serialize_tree,
-    tree_apply,
-    tree_votes,
-)
+from riskforest.errors import DataError, SchemaError
+from riskforest.tree import TableBuilder, predict_tree
 
 from oracles import (greedy_tree_oracle, oracle_tree_predict,
-                     replay_tree_predict, tree_depth)
-
-
-def _tree(*lines):
-    """The tree given by its pre-order node lines."""
-    return deserialize_tree("\n".join((FORMAT_LINE,) + lines))
+                     replay_tree_predict, tree_apply, tree_depth,
+                     tree_from_lines, tree_lines, tree_votes)
 
 
 def _random_tri_dataset(tri_schema, rng, n=20):
@@ -56,7 +44,8 @@ def test_two_separable_rows_make_depth_one_tree(small_schema):
 
 
 def test_sentinel_routes_past_years_since_threshold(tri_schema):
-    tree = _tree("split 2 <= 30.0", "leaf 1.0,0.0,0.0", "leaf 0.0,0.0,1.0")
+    tree = tree_from_lines(["split 2 <= 30.0", "leaf 1.0,0.0,0.0",
+                            "leaf 0.0,0.0,1.0"], 3, tri_schema.n_features)
     assert tree.rule == SplitRule(feature_index=2, threshold=30.0)
     dist = predict_tree(tree, [0, 0, 100.0, 0, 0])
     assert dist[2] == 1.0  # sentinel 100 > 30: no-history row goes right
@@ -91,9 +80,9 @@ def test_training_is_deterministic(tri_schema):
     ds = _random_tri_dataset(tri_schema, np.random.default_rng(7), n=40)
     a = train_tree(ds, (1.0, 2.0, 1.0), min_leaf=2, max_depth=6, seed=5)
     b = train_tree(ds, (1.0, 2.0, 1.0), min_leaf=2, max_depth=6, seed=5)
-    assert serialize_tree(a) == serialize_tree(b)
+    assert tree_lines(a) == tree_lines(b)
     c = train_tree(ds, (1.0, 2.0, 1.0), min_leaf=2, max_depth=6, seed=6)
-    assert serialize_tree(c) != serialize_tree(a)
+    assert tree_lines(c) != tree_lines(a)
 
 
 def test_weight_scaling_changes_nothing(tri_schema):
@@ -105,9 +94,9 @@ def test_weight_scaling_changes_nothing(tri_schema):
     for row in rows:
         assert predict_tree(base, row) == pytest.approx(
             predict_tree(scaled, row), abs=0)
-    # same structure: serialization differs only in leaf weights
-    a = [ln for ln in serialize_tree(base).splitlines() if ln.startswith("split")]
-    b = [ln for ln in serialize_tree(scaled).splitlines() if ln.startswith("split")]
+    # same structure: the node lines differ only in leaf weights
+    a = [ln for ln in tree_lines(base) if ln.startswith("split")]
+    b = [ln for ln in tree_lines(scaled) if ln.startswith("split")]
     assert a == b
 
 
@@ -119,7 +108,7 @@ def test_duplicated_rows_equal_row_index_weighting(tri_schema):
     duplicated = ds.take(dup_idx)
     via_rows = train_tree(duplicated, (1.0, 1.0, 1.0), min_leaf=1, max_depth=5,
                           seed=2)
-    assert serialize_tree(via_indices) == serialize_tree(via_rows)
+    assert tree_lines(via_indices) == tree_lines(via_rows)
 
 
 def test_chosen_splits_never_increase_impurity(tri_schema):
@@ -174,12 +163,12 @@ def test_large_categorical_prefix_scan_path(schema):
     assert float(np.mean(votes == ds.y)) >= 0.95
 
 
-def test_serialize_round_trip(tri_schema):
+def test_node_line_round_trip(tri_schema):
     ds = _random_tri_dataset(tri_schema, np.random.default_rng(41), n=60)
     tree = train_tree(ds, (1.0, 1.0, 2.0), min_leaf=2, max_depth=6, seed=8)
-    text = serialize_tree(tree)
-    again = deserialize_tree(text)
-    assert serialize_tree(again) == text
+    lines = tree_lines(tree)
+    again = tree_from_lines(lines, 3, tri_schema.n_features)
+    assert tree_lines(again) == lines
     for row in ds.X[:20]:
         assert predict_tree(again, row) == pytest.approx(predict_tree(tree, row))
 
@@ -193,8 +182,14 @@ def test_tree_apply_agrees_with_predict(tri_schema):
 
 
 def test_tree_vote_tie_breaks_toward_lower_risk():
-    leaf = _tree("leaf 1.0,0.0,1.0")
+    leaf = tree_from_lines(["leaf 1.0,0.0,1.0"], 3, 1)
     assert tree_votes(leaf, np.zeros((1, 3)))[0] == 2  # Low over High
+
+
+def test_class_weight_count_is_named_as_a_plain_count(tri_schema):
+    ds = _random_tri_dataset(tri_schema, np.random.default_rng(1), n=10)
+    with pytest.raises(DataError, match=r"need 3 class weights, got 2$"):
+        train_tree(ds, (1.0, 1.0))
 
 
 def test_split_rule_validation():
@@ -273,9 +268,10 @@ def test_trained_table_equals_table_parsed_from_its_node_lines(
     # train_tree lays the tree out in pre-order, member pairs and category
     # flags included, exactly as TableBuilder lays out the same tree read
     # from its lines
-    table = train_tree(ds, weights, feature_subset_size=subset_size,
-                       min_leaf=min_leaf, max_depth=depth, seed=seed).table
-    builder = TableBuilder()
+    root = train_tree(ds, weights, feature_subset_size=subset_size,
+                      min_leaf=min_leaf, max_depth=depth, seed=seed)
+    table = root.table
+    builder = TableBuilder(3, _MIXED.n_features)
     builder.start_tree()
     for line in table.subtree_lines(0):
         builder.add_line(line)
@@ -286,7 +282,7 @@ def test_trained_table_equals_table_parsed_from_its_node_lines(
         got, want = getattr(table, name), getattr(parsed, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want, equal_nan=True), name
-    assert table.depth == parsed.depth == tree_depth(table.tree(0))
+    assert table.depth == parsed.depth == tree_depth(root)
 
 
 def test_prefix_oracle_orders_by_high_risk_fraction():
@@ -344,7 +340,8 @@ def _truncate(node, depth):
         return ([f"split {r.feature_index} {test}"]
                 + lines(n.left, d - 1) + lines(n.right, d - 1))
 
-    return _tree(*lines(node, depth))
+    return tree_from_lines(lines(node, depth), node.table.weights.shape[1],
+                           node.table.n_columns)
 
 
 def test_shallow_tree_is_top_of_deeper_tree(schema):
@@ -354,7 +351,7 @@ def test_shallow_tree_is_top_of_deeper_tree(schema):
         shallow = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k, seed=11)
         deeper = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k + 1,
                             seed=11)
-        assert serialize_tree(shallow) == serialize_tree(_truncate(deeper, k))
+        assert tree_lines(shallow) == tree_lines(_truncate(deeper, k))
 
 
 def test_level_blocks_do_not_change_the_tree(schema, monkeypatch):
@@ -369,7 +366,7 @@ def test_level_blocks_do_not_change_the_tree(schema, monkeypatch):
     monkeypatch.setattr(tree_module, "MASK_BLOCK", 16)
     blocked = train_tree(ds, (1.5, 1.0, 2.0), min_leaf=1, max_depth=12, seed=3,
                          row_indices=rows)
-    assert serialize_tree(blocked) == serialize_tree(whole)
+    assert tree_lines(blocked) == tree_lines(whole)
 
 
 def test_feature_choice_is_a_chain_not_first_near_the_maximum():
