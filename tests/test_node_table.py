@@ -37,6 +37,14 @@ def _replay_votes(tree, X):
     return np.array(out)
 
 
+def _assert_same_table(a, b):
+    for name in ("feature", "start", "width", "left", "right", "threshold",
+                 "members", "member_node", "member_code", "weights", "roots",
+                 "vote"):
+        assert np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=True), name
+
+
 def _subset_splits(forest):
     table = forest.table
     return [line for root in table.roots.tolist()
@@ -83,11 +91,7 @@ def test_trained_forest_table_equals_the_table_loaded_from_its_file(
     path = tmp_path / "model.forest"
     save_forest(hart_forest, path)
     loaded = load_forest(path).table
-    for name in ("feature", "start", "width", "left", "right", "threshold",
-                 "members", "member_node", "member_code", "weights", "roots",
-                 "vote"):
-        assert np.array_equal(getattr(hart_forest.table, name),
-                              getattr(loaded, name), equal_nan=True), name
+    _assert_same_table(hart_forest.table, loaded)
     assert (hart_forest.table.depth == loaded.depth
             == max(map(tree_depth, forest_trees(hart_forest))))
 
@@ -252,3 +256,142 @@ def test_v1_model_file_is_rejected_naming_both_formats(tmp_path, model_lines):
         _load_lines(tmp_path, lines)
     assert "riskforest-forest v1" in str(err.value)
     assert "riskforest-forest v2" in str(err.value)
+
+
+def _splice(lines, at, stop, new=()):
+    """Replace lines[at:stop] with ``new``; return ``at``."""
+    lines[at:stop] = new
+    return at
+
+
+def _replace(lines, prefix, *new):
+    """Replace the first line starting with ``prefix`` with ``new``; return
+    its index."""
+    i = _first(lines, prefix)
+    return _splice(lines, i, i + 1, new)
+
+
+# Each edit changes a copy of the model's lines in place and returns the
+# index of the line the fault is reported at.
+_LOAD_FAULTS = {
+    "not a forest document": (
+        lambda m: _replace(m, "riskforest-forest", "riskforest model"),
+        "not a forest document (expected 'riskforest-forest v2')"),
+    "unknown header key": (
+        lambda m: _replace(m, "min_leaf ", "colour blue"),
+        "unexpected header line 'colour blue'"),
+    "repeated header key": (
+        lambda m: _replace(m, "tree 0", "min_leaf 7", "tree 0"),
+        "unexpected header line 'min_leaf 7'"),
+    "missing header key": (
+        lambda m: _replace(m, "data_digest "),
+        "forest header missing data_digest"),
+    "bad header value": (
+        lambda m: _replace(m, "n_train ", "n_train 0"),
+        "bad n_train '0'"),
+    "negative class weight": (
+        lambda m: _replace(m, "class_weights ", "class_weights 1.0,-1.0,1.0"),
+        "class weights must be finite and positive"),
+    "class weight count": (
+        lambda m: _replace(m, "class_weights ", "class_weights 1.0,1.0"),
+        "2 class weights for 3 labels"),
+    "feature count against the schema": (
+        lambda m: _replace(m, "n_features ", "n_features 35"),
+        "model has 35 features, the schema 34"),
+    "node after the end of its tree": (
+        lambda m: _replace(m, "tree 1", "leaf 1.0,0.0,0.0", "tree 1"),
+        "node after the end of its tree"),
+    "tree open at the next tree": (
+        lambda m: _splice(m, m.index("tree 1") - 1, m.index("tree 1")),
+        "tree 0 ends before its last leaf"),
+    "tree open at end": (
+        lambda m: _splice(m, len(m) - 2, len(m) - 1),
+        "tree 4 ends before its last leaf"),
+    "malformed leaf": (
+        lambda m: _replace(m, "leaf ", "leaf 1.0,zero,0.0"),
+        "malformed node line 'leaf 1.0,zero,0.0'"),
+    "malformed split operator": (
+        lambda m: _replace(m, "split ", "split 0 < 1.5"),
+        "malformed node line 'split 0 < 1.5'"),
+    "empty category subset": (
+        lambda m: _replace(m, "split ", "split 0 in "),
+        "malformed node line 'split 0 in '"),
+    "unknown node kind": (
+        lambda m: _replace(m, "leaf ", "node 1.0"),
+        "malformed node line 'node 1.0'"),
+    "NaN leaf weight": (
+        lambda m: _replace(m, "leaf ", "leaf nan,1.0,1.0"),
+        "leaf class weights must be finite and sum to > 0"),
+    "infinite leaf weight": (
+        lambda m: _replace(m, "leaf ", "leaf inf,0.0,0.0"),
+        "leaf class weights must be finite and sum to > 0"),
+    "zero-sum leaf weights": (
+        lambda m: _replace(m, "leaf ", "leaf 0.0,0.0,0.0"),
+        "leaf class weights must be finite and sum to > 0"),
+    "tree out of order": (
+        lambda m: _replace(m, "tree 1", "tree 2"),
+        "expected 'tree 1', got 'tree 2'"),
+    "content after end": (
+        lambda m: _splice(m, len(m), len(m), ["leaf 1.0,0.0,0.0"]),
+        "content after 'end'"),
+    "tree count against the header": (
+        lambda m: _splice(m, m.index("tree 4"), len(m) - 1),
+        "4 trees, header says 5"),
+    "no end": (
+        lambda m: _splice(m, len(m) - 1, len(m)) - 1,
+        "forest document not terminated with 'end'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_LOAD_FAULTS))
+def test_model_file_fault_is_reported_with_its_line(tmp_path, model_lines,
+                                                    fault):
+    edit, message = _LOAD_FAULTS[fault]
+    lines = list(model_lines)
+    lineno = edit(lines) + 1
+    with pytest.raises(DataError) as err:
+        _load_lines(tmp_path, lines, hart_schema())
+    assert str(err.value) == f"{tmp_path / 'bad.forest'}, line {lineno}: {message}"
+
+
+_NODE_LIKE = st.sampled_from([
+    "leaf 1.0,0.0,0.0", "leaf 0.0,2.5,1.0", "leaf 0.0,0.0,0.0",
+    "leaf nan,1.0,1.0", "leaf 1.0,1.0", "leaf", "split 0 <= 0.5",
+    "split 33 <= nan", "split 34 <= 1.0", "split 6 in 0,2", "split 6 in 2,0,2",
+    "split 6 in 99", "split -1 in 0", "split 0 in ", "split 0 < 1.0",
+    "tree 0", "tree 1", "tree 5", "end", ""])
+
+_EDIT = st.tuples(
+    st.sampled_from(("delete", "duplicate", "swap", "truncate", "replace")),
+    st.integers(0, 10**4), st.integers(0, 10**4), _NODE_LIKE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_edited_model_file_loads_or_raises_data_error(
+        model_lines, schema, tmp_path_factory, edits):
+    lines = list(model_lines)
+    for op, a, b, token in edits:
+        if not lines:
+            break
+        i, j = a % len(lines), b % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            del lines[i:]
+        else:
+            lines[i] = token
+    base = tmp_path_factory.getbasetemp()
+    path, again = base / "edited.forest", base / "again.forest"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for model_schema in (None, schema):
+        try:
+            forest = load_forest(path, model_schema)
+        except DataError:
+            continue
+        save_forest(forest, again)
+        _assert_same_table(load_forest(again, model_schema).table, forest.table)
