@@ -26,7 +26,8 @@ import numpy as np
 
 from .data.dataset import Dataset, split_holdout
 from .errors import CalibrationError, DataError, FingerprintMismatchError
-from .tree import NodeTable, TableBuilder, default_feature_subset_size, train_tree
+from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
+                   write_trees)
 
 FOREST_FORMAT_LINE = "riskforest-forest v2"
 
@@ -336,10 +337,7 @@ def save_forest(forest: Forest, path) -> None:
         "data_digest": forest.data_digest,
     }
     lines = [FOREST_FORMAT_LINE] + [f"{key} {values[key]}" for key in _HEADER_KEYS]
-    for t in range(cfg.n_trees):
-        lines.append(f"tree {t}")
-        lines += forest.table.subtree_lines(int(forest.table.roots[t]))
-    lines.append("end")
+    lines += write_trees(forest.table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -452,28 +450,12 @@ def load_forest(path, schema=None) -> Forest:
                        f" {schema.n_features}")
         n_categories = [len(spec.categories) for spec in schema.specs]
 
-    builder = TableBuilder(len(labels), n_features, n_categories)
-    for pos in range(pos, len(lines)):
-        line = lines[pos]
-        try:
-            if line == "end":
-                table = builder.finish()
-                break
-            if line.startswith("tree "):
-                expected = f"tree {len(builder.roots)}"
-                if line != expected:
-                    raise DataError(f"expected {expected!r}, got {line!r}")
-                builder.start_tree()
-            else:
-                builder.add_line(line)
-        except DataError as exc:
-            raise fail(pos + 1, str(exc)) from None
-    else:
-        raise fail(len(lines), "forest document not terminated with 'end'")
-    if pos != len(lines) - 1:
-        raise fail(pos + 2, "content after 'end'")
-    if table.n_trees != cfg.n_trees:
-        raise fail(pos + 1, f"{table.n_trees} trees, header says {cfg.n_trees}")
+    try:
+        table = read_trees(lines, pos, len(labels), n_features, n_categories)
+    except DataError as exc:
+        raise fail(exc.row + 1, str(exc)) from None
+    if table.n_trees != cfg.n_trees:  # read_trees ends at the last line
+        raise fail(len(lines), f"{table.n_trees} trees, header says {cfg.n_trees}")
     return Forest(config=cfg, fingerprint=fingerprint, labels=labels,
                   table=table, n_features=n_features, n_train=n_train,
                   data_digest=digest)

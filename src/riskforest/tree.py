@@ -692,124 +692,119 @@ class NodeTable:
         return lines
 
 
-class TableBuilder:
-    """Parses node lines, given in pre-order tree after tree, into a NodeTable.
+def write_trees(table: NodeTable) -> list[str]:
+    """The trees of a model file, as read_trees reads them: ``tree t`` and
+    then tree t's node lines, tree after tree, and ``end``."""
+    lines = []
+    for t, root in enumerate(table.roots.tolist()):
+        lines.append(f"tree {t}")
+        lines += table.subtree_lines(root)
+    lines.append("end")
+    return lines
 
-    It checks the structure as it goes (every split gets two subtrees, no
-    node follows a finished tree) and that every node fits the label and
-    feature counts and, when given them, each feature's category count.
-    Violations raise DataError.
+
+def read_trees(lines, first: int, n_labels: int, n_features: int,
+               n_categories=None) -> NodeTable:
+    """The NodeTable of the trees write_trees wrote from ``lines[first]`` on:
+    ``tree t`` and tree t's node lines (``leaf w,..``, ``split f <= t`` or
+    ``split f in c,..``) in pre-order, tree after tree, then ``end`` as the
+    last line. It checks the structure (trees in order, two subtrees per
+    split, no node after a finished tree) and that every node fits the label
+    and feature counts and, when given them, each feature's category count.
+    A violation raises DataError whose ``row`` is the offending line's index.
     """
-
-    def __init__(self, n_labels: int, n_features: int, n_categories=None):
-        self.n_labels = n_labels
-        self.n_features = n_features
-        self.n_categories = n_categories
-        # Typed buffers: a list of Python numbers takes four times the memory.
-        self.feature = array("q")
-        self.left = array("q")
-        self.right = array("q")
-        self.threshold = array("d")
-        self.member_node = array("q")
-        self.member_code = array("q")
-        self.leaf_nodes = array("q")
-        self.leaf_weights = array("d")
-        self.roots: list[int] = []
-        self._open: list[int] = []  # splits awaiting a right child
-        self._tree_open = False  # whether a node may come next
-
-    def start_tree(self) -> None:
-        if self._tree_open:
-            raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
-        self.roots.append(len(self.threshold))
-        self._tree_open = True
-
-    def _append(self, feature, left, right, threshold) -> None:
-        self.feature.append(feature)
-        self.left.append(left)
-        self.right.append(right)
-        self.threshold.append(threshold)
-
-    def _split(self, i: int, feature: int, threshold, members) -> None:
-        if not 0 <= feature < self.n_features:
-            raise DataError(f"split feature {feature} outside the model's"
-                            f" {self.n_features} features")
-        if members is not None:
-            if not members:
-                raise DataError("empty category subset")
-            limit = (MAX_CATEGORY_CODE + 1 if self.n_categories is None
-                     else self.n_categories[feature])
-            bad = [c for c in members if not 0 <= c < limit]
-            if bad:
-                raise DataError(f"category {bad[0]} outside feature {feature}'s"
-                                f" {limit} categories")
-            self.member_node.extend([i] * len(members))
-            self.member_code.extend(members)
-            threshold = float("nan")
-        self._append(feature, i + 1, -1, threshold)
-        self._open.append(i)
-
-    def _leaf(self, i: int, w: list[float]) -> None:
-        if len(w) != self.n_labels:
-            raise DataError(f"leaf has {len(w)} class weights,"
-                            f" expected {self.n_labels}")
-        if not 0 < sum(w) < inf:  # also false when any weight is not finite
-            raise DataError("leaf class weights must be finite and sum to > 0")
-        self._append(0, i, i, float("nan"))
-        self.leaf_nodes.append(i)
-        self.leaf_weights.extend(w)
-        if self._open:
-            self.right[self._open.pop()] = i + 1
-        else:
-            self._tree_open = False
-
-    def add_line(self, line: str) -> None:
-        """One node line: ``leaf w,..``, ``split f <= t`` or ``split f in c,..``."""
+    # Typed buffers: a list of Python numbers takes four times the memory.
+    feature, left, right, threshold = array("q"), array("q"), array("q"), array("d")
+    member_node, member_code = array("q"), array("q")
+    leaf_nodes, leaf_weights = array("q"), array("d")
+    roots: list[int] = []
+    waiting: list[int] = []  # splits awaiting a right child
+    tree_open = False  # whether a node may come next
+    nan = float("nan")
+    for row in range(first, len(lines)):
+        line = lines[row]
+        if line == "end":
+            break
+        i = len(threshold)
+        if line.startswith("tree "):
+            expected = f"tree {len(roots)}"
+            if line != expected:
+                raise DataError(f"expected {expected!r}, got {line!r}", row=row)
+            if tree_open:
+                raise DataError(f"tree {len(roots) - 1} ends before its last leaf",
+                                row=row)
+            roots.append(i)
+            tree_open = True
+            continue
         kind, _, rest = line.partition(" ")
-        parsed = None
         try:
             if kind == "leaf":
-                parsed = [float(t) for t in rest.split(",")]
+                w = [float(t) for t in rest.split(",")]
             elif kind == "split":
-                feat, op, arg = rest.split(" ")
+                f, op, arg = rest.split(" ")
+                f = int(f)
                 if op == "<=":
-                    parsed = (int(feat), float(arg), None)
+                    thr, codes = float(arg), None
                 elif op == "in":
-                    parsed = (int(feat), None,
-                              sorted({int(t) for t in arg.split(",")}))
+                    thr, codes = nan, sorted({int(t) for t in arg.split(",")})
+                else:
+                    raise ValueError(op)
+            else:
+                raise ValueError(kind)
         except ValueError:
-            pass
-        if parsed is None:
-            raise DataError(f"malformed node line {line!r}")
-        if not self._tree_open:
-            raise DataError("node after the end of its tree")
-        i = len(self.threshold)
+            raise DataError(f"malformed node line {line!r}", row=row) from None
+        if not tree_open:
+            raise DataError("node after the end of its tree", row=row)
         if kind == "leaf":
-            self._leaf(i, parsed)
+            if len(w) != n_labels:
+                raise DataError(f"leaf has {len(w)} class weights,"
+                                f" expected {n_labels}", row=row)
+            if not 0 < sum(w) < inf:  # also false when any weight is not finite
+                raise DataError("leaf class weights must be finite and sum to > 0",
+                                row=row)
+            leaf_nodes.append(i)
+            leaf_weights.extend(w)
+            f, thr = 0, nan
+            if waiting:
+                right[waiting.pop()] = i + 1
+            else:
+                tree_open = False
         else:
-            self._split(i, *parsed)
+            if not 0 <= f < n_features:
+                raise DataError(f"split feature {f} outside the model's"
+                                f" {n_features} features", row=row)
+            if codes is not None:
+                limit = (MAX_CATEGORY_CODE + 1 if n_categories is None
+                         else n_categories[f])
+                bad = [c for c in codes if not 0 <= c < limit]
+                if bad:
+                    raise DataError(f"category {bad[0]} outside feature {f}'s"
+                                    f" {limit} categories", row=row)
+                member_node.extend([i] * len(codes))
+                member_code.extend(codes)
+            waiting.append(i)
+        feature.append(f)
+        left.append(i if kind == "leaf" else i + 1)
+        right.append(i)  # a split's is set where its left subtree ends
+        threshold.append(thr)
+    else:
+        raise DataError("forest document not terminated with 'end'",
+                        row=len(lines) - 1)
+    if tree_open:
+        raise DataError(f"tree {len(roots) - 1} ends before its last leaf", row=row)
+    if row != len(lines) - 1:
+        raise DataError("content after 'end'", row=row + 1)
 
-    def finish(self) -> NodeTable:
-        if not self.roots:
-            raise DataError("no trees")
-        if self._tree_open:
-            raise DataError(f"tree {len(self.roots) - 1} ends before its last leaf")
+    def ints(buffer):
+        return np.frombuffer(buffer, dtype=np.int64).astype(np.intp)
 
-        def ints(buffer):
-            return np.frombuffer(buffer, dtype=np.int64).astype(np.intp)
-
-        weights = np.zeros((len(self.threshold), self.n_labels))
-        weights[ints(self.leaf_nodes)] = np.frombuffer(
-            self.leaf_weights).reshape(-1, self.n_labels)
-        return NodeTable(
-            feature=ints(self.feature), left=ints(self.left),
-            right=ints(self.right),
-            threshold=np.frombuffer(self.threshold).copy(),
-            weights=weights,
-            roots=np.array(self.roots, dtype=np.intp),
-            member_node=ints(self.member_node),
-            member_code=ints(self.member_code),
-        )
+    weights = np.zeros((len(threshold), n_labels))
+    weights[ints(leaf_nodes)] = np.frombuffer(leaf_weights).reshape(-1, n_labels)
+    return NodeTable(feature=ints(feature), left=ints(left), right=ints(right),
+                     threshold=np.frombuffer(threshold).copy(), weights=weights,
+                     roots=np.array(roots, dtype=np.intp),
+                     member_node=ints(member_node),
+                     member_code=ints(member_code))
 
 
 # -- prediction ----------------------------------------------------------

@@ -178,13 +178,10 @@ def tree_lines(tree):
 
 def tree_from_lines(lines, n_labels, n_features):
     """The one tree given by its pre-order node lines, as a root TreeNode."""
-    from riskforest.tree import TableBuilder, TreeNode
+    from riskforest.tree import TreeNode, read_trees
 
-    builder = TableBuilder(n_labels, n_features)
-    builder.start_tree()
-    for line in lines:
-        builder.add_line(line)
-    return TreeNode(builder.finish(), 0)
+    table = read_trees(["tree 0", *lines, "end"], 0, n_labels, n_features)
+    return TreeNode(table, 0)
 
 
 def forest_trees(forest):

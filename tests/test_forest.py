@@ -23,7 +23,7 @@ from riskforest.forest import (
     count_policy_errors,
     derive_tree_seed,
 )
-from riskforest.tree import TableBuilder
+from riskforest.tree import read_trees
 
 from oracles import forest_trees, tree_lines
 
@@ -92,14 +92,14 @@ def test_train_forest_calls_train_tree_once_per_tree(small_data, monkeypatch):
 
 def _hand_forest(vote_labels, schema):
     """One single-leaf tree per label index, voting for that label."""
-    builder = TableBuilder(3, schema.n_features)
-    for k in vote_labels:
-        builder.start_tree()
-        builder.add_line("leaf " + ",".join("1.0" if j == k else "0.0"
-                                            for j in range(3)))
+    lines = []
+    for t, k in enumerate(vote_labels):
+        lines += [f"tree {t}", "leaf " + ",".join("1.0" if j == k else "0.0"
+                                                  for j in range(3))]
     cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
-    return Forest(config=cfg, table=builder.finish(),
+    return Forest(config=cfg,
+                  table=read_trees(lines + ["end"], 0, 3, schema.n_features),
                   fingerprint=schema.fingerprint(), labels=schema.label_set,
                   n_features=schema.n_features, n_train=1,
                   data_digest="0" * 16)

@@ -86,7 +86,7 @@ def test_table_votes_equal_replay_oracle_tree_by_tree(hart_data, hart_forest,
 
 def test_trained_forest_table_equals_the_table_loaded_from_its_file(
         hart_forest, tmp_path):
-    # the trees' one-tree tables are joined as TableBuilder lays them out
+    # the trees' one-tree tables are joined as read_trees lays them out
     assert _subset_splits(hart_forest), "want category flags to check"
     path = tmp_path / "model.forest"
     save_forest(hart_forest, path)

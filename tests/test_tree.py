@@ -3,7 +3,7 @@ import pytest
 
 from riskforest import Dataset, SplitRule, train_tree
 from riskforest.errors import DataError, SchemaError
-from riskforest.tree import TableBuilder, predict_tree
+from riskforest.tree import predict_tree, read_trees, write_trees
 
 from oracles import (greedy_tree_oracle, oracle_tree_predict,
                      replay_tree_predict, tree_apply, tree_depth,
@@ -266,16 +266,12 @@ def test_full_feature_tree_predicts_like_greedy_oracle(ds, weights, min_leaf,
 def test_trained_table_equals_table_parsed_from_its_node_lines(
         ds, weights, subset_size, min_leaf, depth, seed):
     # train_tree lays the tree out in pre-order, member pairs and category
-    # flags included, exactly as TableBuilder lays out the same tree read
+    # flags included, exactly as read_trees lays out the same tree read
     # from its lines
     root = train_tree(ds, weights, feature_subset_size=subset_size,
                       min_leaf=min_leaf, max_depth=depth, seed=seed)
     table = root.table
-    builder = TableBuilder(3, _MIXED.n_features)
-    builder.start_tree()
-    for line in table.subtree_lines(0):
-        builder.add_line(line)
-    parsed = builder.finish()
+    parsed = read_trees(write_trees(table), 0, 3, _MIXED.n_features)
     for name in ("feature", "start", "width", "left", "right", "threshold",
                  "members", "member_node", "member_code", "weights", "roots",
                  "vote"):
