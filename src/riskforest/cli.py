@@ -78,8 +78,23 @@ def __getattr__(name: str):
 ENV_PREFIX = "RISKFOREST_"
 
 
+class _EnvText(str):
+    """A flag's text read from environment variable ``variable``."""
+
+    def __new__(cls, text: str, variable: str):
+        value = super().__new__(cls, text)
+        value.variable = variable
+        return value
+
+
 def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+    text = os.environ.get(ENV_PREFIX + name)
+    return fallback if text is None else _EnvText(text, ENV_PREFIX + name)
+
+
+def _source(text: str) -> str:
+    """`` from VARIABLE`` when the text came from the environment."""
+    return f" from {text.variable}" if isinstance(text, _EnvText) else ""
 
 
 def _env_flag(name: str) -> bool:
@@ -93,34 +108,37 @@ def _env_flag(name: str) -> bool:
     return value
 
 
-def _seed(text: str) -> int:
-    """--seed: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _typed(convert, expected: str):
+    """An argparse type: ``convert`` a flag's text. Its error names what was
+    expected and, for a default read from the environment, the variable;
+    argparse names the flag."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}{_source(text)}") from None
+    return parse
 
 
-def _epsilon(text: str) -> float:
-    """--epsilon: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+def _nonnegative(value):
     if not 0 <= value < math.inf:  # also false for NaN
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number >= 0, got {text!r}")
+        raise ValueError(value)
     return value
+
+
+_integer = _typed(int, "an integer")
+_number = _typed(float, "a number")
+_seed = _typed(lambda text: _nonnegative(int(text)), "an integer >= 0")
+_epsilon = _typed(lambda text: _nonnegative(float(text)), "a finite number >= 0")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+        raise UsageError(f"expected comma-separated numbers,"
+                         f" got {text!r}{_source(text)}") from None
 
 
 # -- report plumbing -----------------------------------------------------
@@ -497,12 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     # those and no others.
     csv_layers = ("data.schema", "data.dataset")
 
-    def common(p, *, seed=False, model=False, epsilon=False):
+    def common(p, *, data=True, seed=False, model=False, epsilon=False):
         p.add_argument("--schema", default=_env("SCHEMA"),
                        help="schema file (default: bundled custody schema)")
         p.add_argument("--group", default=_env("GROUP"),
                        help="treat this column as the protected-group attribute")
-        p.add_argument("--data", default=_env("DATA"), help="dataset CSV")
+        if data:
+            p.add_argument("--data", default=_env("DATA"), help="dataset CSV")
         p.add_argument("--out", default=_env("OUT"), help="output directory")
         if seed:
             p.add_argument("--seed", type=_seed, default=_env("SEED"))
@@ -522,26 +541,26 @@ def build_parser() -> argparse.ArgumentParser:
                    layers=("data.schema", "metrics", "reference"))
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    common(p, seed=True)
-    p.add_argument("--n", type=int, default=_env("N", "10000"))
-    p.add_argument("--signal", type=float, default=_env("SIGNAL", "0.8"))
+    common(p, data=False, seed=True)
+    p.add_argument("--n", type=_integer, default=_env("N", "10000"))
+    p.add_argument("--signal", type=_number, default=_env("SIGNAL", "0.8"))
     p.add_argument("--marginals", default=_env("MARGINALS"))
     p.add_argument("--two-group", action="store_true",
                    help="plant a high-risk base-rate gap between two groups"
                         " (or set RISKFOREST_TWO_GROUP=1)")
-    p.add_argument("--group-gap", type=float, default=_env("GROUP_GAP", "0.2"))
+    p.add_argument("--group-gap", type=_number, default=_env("GROUP_GAP", "0.2"))
     p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"))
 
     p = sub.add_parser("train", help="train a forest and report OOB accuracy")
     common(p, seed=True)
-    p.add_argument("--trees", type=int, default=_env("TREES", "509"))
+    p.add_argument("--trees", type=_integer, default=_env("TREES", "509"))
     p.add_argument("--weights", default=_env("WEIGHTS"),
                    help="comma-separated per-label class weights")
-    p.add_argument("--min-leaf", type=int, default=_env("MIN_LEAF", "5"))
-    p.add_argument("--max-depth", type=int, default=_env("MAX_DEPTH", "16"))
-    p.add_argument("--feature-subset", type=int,
+    p.add_argument("--min-leaf", type=_integer, default=_env("MIN_LEAF", "5"))
+    p.add_argument("--max-depth", type=_integer, default=_env("MAX_DEPTH", "16"))
+    p.add_argument("--feature-subset", type=_integer,
                    default=_env("FEATURE_SUBSET"))
-    p.add_argument("--bootstrap-size", type=int,
+    p.add_argument("--bootstrap-size", type=_integer,
                    default=_env("BOOTSTRAP_SIZE"))
     p.set_defaults(func=cmd_train, layers=(*csv_layers, "forest", "metrics"))
 

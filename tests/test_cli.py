@@ -83,6 +83,13 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert payload["header"]["config"]["seed"] == 7
 
 
+def test_generate_has_no_data_flag(tmp_path, capsys):
+    assert run("generate", "--n", "10", "--seed", "1", "--data", "x.csv",
+               "--out", str(tmp_path / "g")) == 2
+    assert "--data" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_generate_deterministic_per_seed(tmp_path):
     a, b, c = (tmp_path / d for d in "abc")
     assert run("generate", "--n", "50", "--seed", "3", "--out", str(a)) == 0
@@ -375,6 +382,12 @@ _AUDIT = ("audit", "--model", "{model}", "--data", "{data}", "--group", "Group")
      "[nan, 0.5, 0.5]"),
     (("baseline", "--marginals", "0.5,nan"), {}, "[0.5, nan]"),
     (("baseline", "--marginals", "0.5,0.6"), {}, "marginals sum to 1.1, not 1"),
+    (("train", "--data", "{data}", "--seed", "1"), {"RISKFOREST_TREES": "many"},
+     "argument --trees"),
+    (("generate", "--n", "50", "--seed", "1"), {"RISKFOREST_SIGNAL": "high"},
+     "argument --signal"),
+    (("train", "--data", "{data}", "--group", "Group", "--trees", "2",
+      "--seed", "1"), {"RISKFOREST_WEIGHTS": "1,x,1"}, "comma-separated numbers"),
 ])
 def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
         tmp_path, capsys, monkeypatch, two_group_model, argv, env, shown):
@@ -387,6 +400,7 @@ def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert shown in err
+    assert all(f"from {name}" in err for name in env)
     assert "Traceback" not in err and "np.float64" not in err
     for report in out.rglob("*.json"):
         json.loads(report.read_text(), parse_constant=_refuse_constant)
