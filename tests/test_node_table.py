@@ -331,6 +331,10 @@ _LOAD_FAULTS = {
     "tree out of order": (
         lambda m: _replace(m, "tree 1", "tree 2"),
         "expected 'tree 1', got 'tree 2'"),
+    "tree out of order after an open tree": (
+        lambda m: _splice(m, m.index("tree 1") - 1, m.index("tree 1") + 1,
+                          ["tree 2"]),
+        "expected 'tree 1', got 'tree 2'"),
     "content after end": (
         lambda m: _splice(m, len(m), len(m), ["leaf 1.0,0.0,0.0"]),
         "content after 'end'"),
