@@ -10,8 +10,9 @@ failure, 2 usage error.
 
 Each command writes fixed file names under --out: a Markdown report for
 humans and a JSON report for CI, both opening with a reproducibility
-header that serializes the resolved configuration. Commands that draw
-randomness (generate, train) refuse to run without --seed.
+header that records every flag of the verb but --out. Each verb declares
+the flags it requires beside its parser; commands that draw randomness
+(generate, train) require --seed.
 """
 
 from __future__ import annotations
@@ -144,19 +145,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 # -- report plumbing -----------------------------------------------------
 
 
-def _header(command: str, args, keys) -> dict:
-    config = {}
-    for key in keys:
-        value = getattr(args, key)
-        if isinstance(value, Path):
-            value = str(value)
-        config[key.replace("_", "-")] = value
+# Namespace entries that are not the verb's flags, and --out, which names
+# where the reports go rather than what produced them.
+_NOT_RECORDED = ("command", "func", "layers", "required", "out")
+
+
+def _header(args) -> dict:
+    config = {key.replace("_", "-"): value for key, value in vars(args).items()
+              if key not in _NOT_RECORDED}
     return {"tool": "riskforest", "version": __version__,
-            "command": command, "config": config}
+            "command": args.command, "config": config}
 
 
-def _write_reports(out_dir: Path, stem: str, header: dict, result: dict,
+def _write_reports(out_dir: Path, stem: str, args, result: dict,
                    markdown_body: str) -> None:
+    header = _header(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"header": header, "result": result}
     (out_dir / f"{stem}.json").write_text(
@@ -174,23 +177,11 @@ def _load_schema(args) -> FeatureSchema:
     return schema
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise UsageError("--seed is required (or set RISKFOREST_SEED)")
-    return args.seed
-
-
-def _require_out(args) -> Path:
-    if args.out is None:
-        raise UsageError("--out is required (or set RISKFOREST_OUT)")
-    return Path(args.out)
-
-
 # -- commands ------------------------------------------------------------
 
 
 def cmd_reproduce_tables(args) -> int:
-    out = _require_out(args)
+    out = Path(args.out)
     rows = []
     all_ok = True
     for key, published in PUBLISHED.items():
@@ -226,8 +217,7 @@ def cmd_reproduce_tables(args) -> int:
         lines.append(f"| {r['table']} | {r['metric']} | {r['computed']:.4f} |"
                      f" {r['published']:.4f} | {r['delta']:.5f} |"
                      f" {'yes' if r['ok'] else 'NO'} |")
-    header = _header("reproduce-tables", args, ["fixture_dir"])
-    _write_reports(out, "reproduction", header,
+    _write_reports(out, "reproduction", args,
                    {"tolerance": TABLE_TOLERANCE, "all_ok": all_ok, "rows": rows},
                    "\n".join(lines))
     failing = [r for r in rows if not r["ok"]]
@@ -240,8 +230,7 @@ def cmd_reproduce_tables(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    out = _require_out(args)
-    seed = _require_seed(args)
+    out = Path(args.out)
     args.two_group = args.two_group or _env_flag("TWO_GROUP")
     if args.two_group and not args.group:
         args.group = "Group"
@@ -250,17 +239,14 @@ def cmd_generate(args) -> int:
                  else VALIDATION_MARGINALS)
     if args.two_group:
         ds = generate_two_group(schema, args.n, marginals, args.group_gap,
-                                args.signal, seed)
+                                args.signal, args.seed)
     else:
-        ds = generate_synthetic(schema, args.n, marginals, args.signal, seed)
+        ds = generate_synthetic(schema, args.n, marginals, args.signal, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out / "synthetic.csv")
-    header = _header("generate", args, ["n", "seed", "signal", "marginals",
-                                        "two_group", "group_gap", "group",
-                                        "schema"])
     freq = {name: round(float(f), 6)
             for name, f in zip(schema.label_set, ds.label_marginals())}
-    _write_reports(out, "generate", header,
+    _write_reports(out, "generate", args,
                    {"rows": len(ds), "label_frequencies": freq,
                     "provenance": ds.provenance, "file": "synthetic.csv"},
                    "Label frequencies: "
@@ -269,7 +255,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _forest_config(args, seed: int) -> ForestConfig:
+def _forest_config(args) -> ForestConfig:
     weights = _parse_floats(args.weights) if args.weights else None
     return ForestConfig(
         n_trees=args.trees,
@@ -277,19 +263,16 @@ def _forest_config(args, seed: int) -> ForestConfig:
         feature_subset_size=args.feature_subset,
         min_leaf=args.min_leaf,
         max_depth=args.max_depth,
-        master_seed=seed,
+        master_seed=args.seed,
         bootstrap_size=args.bootstrap_size,
     )
 
 
 def cmd_train(args) -> int:
-    out = _require_out(args)
-    seed = _require_seed(args)
-    if not args.data:
-        raise UsageError("--data is required")
+    out = Path(args.out)
     schema = _load_schema(args)
     ds = load_csv(args.data, schema)
-    config = _forest_config(args, seed)
+    config = _forest_config(args)
     forest = train_forest(ds, config)
     out.mkdir(parents=True, exist_ok=True)
     save_forest(forest, out / "model.forest")
@@ -320,19 +303,14 @@ def cmd_train(args) -> int:
         body.append(f"Out-of-bag overall accuracy: {oob.overall_accuracy:.4f}.")
         body.append("")
         body.append(oob.to_markdown())
-    header = _header("train", args, ["data", "schema", "group", "trees", "seed",
-                                     "weights", "min_leaf", "max_depth",
-                                     "feature_subset", "bootstrap_size"])
-    _write_reports(out, "oob_report", header, result, "\n".join(body))
+    _write_reports(out, "oob_report", args, result, "\n".join(body))
     print(f"train: wrote {out / 'model.forest'}"
           f" ({forest.config.n_trees} trees)")
     return 0
 
 
 def cmd_predict(args) -> int:
-    out = _require_out(args)
-    if not args.data or not args.model:
-        raise UsageError("--model and --data are required")
+    out = Path(args.out)
     schema = _load_schema(args)
     forest = load_forest(args.model, schema)
     X, y, groups = load_unlabeled_csv(args.data, schema)
@@ -348,8 +326,7 @@ def cmd_predict(args) -> int:
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     counts = {name: int((pred == k).sum())
               for k, name in enumerate(forest.labels)}
-    header = _header("predict", args, ["data", "model", "schema", "group"])
-    _write_reports(out, "predict_report", header,
+    _write_reports(out, "predict_report", args,
                    {"rows": len(pred), "predicted_counts": counts,
                     "file": "predictions.csv"},
                    "Predicted counts: "
@@ -359,9 +336,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _require_out(args)
-    if not args.data or not args.model:
-        raise UsageError("--model and --data are required")
+    out = Path(args.out)
     schema = _load_schema(args)
     forest = load_forest(args.model, schema)
     ds = load_csv(args.data, schema)
@@ -372,8 +347,7 @@ def cmd_evaluate(args) -> int:
     report = derive_metrics(cm, schema.label_set[0], schema.label_set[-1])
     out.mkdir(parents=True, exist_ok=True)
     cm.to_csv(out / "confusion.csv")
-    header = _header("evaluate", args, ["data", "model", "schema", "group"])
-    _write_reports(out, "metrics", header,
+    _write_reports(out, "metrics", args,
                    {"confusion_file": "confusion.csv", "rows": len(ds),
                     "metrics": report.to_dict()},
                    report.to_markdown())
@@ -383,9 +357,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    out = _require_out(args)
-    if not args.data or not args.model:
-        raise UsageError("--model and --data are required")
+    out = Path(args.out)
     schema = _load_schema(args)
     if schema.group_attribute is None:
         raise UsageError("audit needs a group column: pass --group")
@@ -450,9 +422,7 @@ def cmd_audit(args) -> int:
             result["impossibility"] = {"skipped": str(exc)}
             body += ["", f"Joint threshold search skipped: {exc}"]
 
-    header = _header("audit", args, ["data", "model", "schema", "group",
-                                     "epsilon"])
-    _write_reports(out, "fairness", header, result, "\n".join(body))
+    _write_reports(out, "fairness", args, result, "\n".join(body))
     failed = [v.criterion for v in verdicts if not v.passed]
     print("audit: " + ("all criteria pass" if not failed
                        else "failing: " + ", ".join(failed)))
@@ -460,7 +430,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    out = _require_out(args)
+    out = Path(args.out)
     if args.marginals:
         marginals = _parse_floats(args.marginals)
         source = "flag"
@@ -473,8 +443,7 @@ def cmd_baseline(args) -> int:
         marginals = VALIDATION_MARGINALS
         source = "bundled validation marginals"
     value = random_baseline(marginals)
-    header = _header("baseline", args, ["marginals", "data", "schema"])
-    _write_reports(out, "baseline", header,
+    _write_reports(out, "baseline", args,
                    {"marginals": list(marginals), "source": source,
                     "accuracy": value},
                    f"Random-guesser accuracy over marginals {list(marginals)}:"
@@ -484,17 +453,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_k_anon(args) -> int:
-    out = _require_out(args)
-    if not args.data:
-        raise UsageError("--data is required")
-    if not args.quasi:
-        raise UsageError("--quasi is required (comma-separated column names)")
+    out = Path(args.out)
     schema = _load_schema(args)
     ds = load_csv(args.data, schema)
     quasi = [q.strip() for q in args.quasi.split(",") if q.strip()]
     k = k_anonymity(ds, quasi)
-    header = _header("k-anon", args, ["data", "schema", "group", "quasi"])
-    _write_reports(out, "kanon", header,
+    _write_reports(out, "kanon", args,
                    {"k": k, "quasi_identifiers": quasi, "rows": len(ds)},
                    f"k-anonymity of {len(ds)} rows under"
                    f" {{{', '.join(quasi)}}}: **k = {k}**")
@@ -511,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and audit cost-sensitive risk forests.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each verb lists the layers it runs (see _BORROWED); main() imports
-    # those and no others.
+    # Each verb lists the layers it runs (see _BORROWED), which main()
+    # imports and no others, and the flags it requires, which main() checks
+    # first.
     csv_layers = ("data.schema", "data.dataset")
 
     def common(p, *, data=True, seed=False, model=False, epsilon=False):
@@ -538,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture-dir", default=_env("FIXTURE_DIR"))
     p.add_argument("--out", default=_env("OUT"))
     p.set_defaults(func=cmd_reproduce_tables,
-                   layers=("data.schema", "metrics", "reference"))
+                   layers=("data.schema", "metrics", "reference"),
+                   required=("out",))
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     common(p, data=False, seed=True)
@@ -549,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plant a high-risk base-rate gap between two groups"
                         " (or set RISKFOREST_TWO_GROUP=1)")
     p.add_argument("--group-gap", type=_number, default=_env("GROUP_GAP", "0.2"))
-    p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"))
+    p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"),
+                   required=("out", "seed"))
 
     p = sub.add_parser("train", help="train a forest and report OOB accuracy")
     common(p, seed=True)
@@ -562,32 +529,37 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env("FEATURE_SUBSET"))
     p.add_argument("--bootstrap-size", type=_integer,
                    default=_env("BOOTSTRAP_SIZE"))
-    p.set_defaults(func=cmd_train, layers=(*csv_layers, "forest", "metrics"))
+    p.set_defaults(func=cmd_train, layers=(*csv_layers, "forest", "metrics"),
+                   required=("out", "seed", "data"))
 
     p = sub.add_parser("predict", help="write per-row labels and vote tallies")
     common(p, model=True)
-    p.set_defaults(func=cmd_predict, layers=(*csv_layers, "forest"))
+    p.set_defaults(func=cmd_predict, layers=(*csv_layers, "forest"),
+                   required=("out", "model", "data"))
 
     p = sub.add_parser("evaluate",
                        help="confusion matrix and performance measures")
     common(p, model=True)
-    p.set_defaults(func=cmd_evaluate, layers=(*csv_layers, "forest", "metrics"))
+    p.set_defaults(func=cmd_evaluate, layers=(*csv_layers, "forest", "metrics"),
+                   required=("out", "model", "data"))
 
     p = sub.add_parser("audit", help="group fairness report")
     common(p, model=True, epsilon=True)
-    p.set_defaults(func=cmd_audit, layers=(*csv_layers, "forest", "fairness"))
+    p.set_defaults(func=cmd_audit, layers=(*csv_layers, "forest", "fairness"),
+                   required=("out", "model", "data"))
 
     p = sub.add_parser("baseline", help="random-guesser accuracy for marginals")
     common(p)
     p.add_argument("--marginals", default=_env("MARGINALS"))
     p.set_defaults(func=cmd_baseline,
-                   layers=(*csv_layers, "data.synth", "metrics"))
+                   layers=(*csv_layers, "data.synth", "metrics"), required=("out",))
 
     p = sub.add_parser("k-anon", help="k-anonymity of a dataset")
     common(p)
     p.add_argument("--quasi", default=_env("QUASI"),
                    help="comma-separated quasi-identifier columns")
-    p.set_defaults(func=cmd_k_anon, layers=(*csv_layers, "data.privacy"))
+    p.set_defaults(func=cmd_k_anon, layers=(*csv_layers, "data.privacy"),
+                   required=("out", "data", "quasi"))
 
     return parser
 
@@ -600,6 +572,10 @@ def main(argv=None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
+        for flag in args.required:
+            if getattr(args, flag) in (None, ""):
+                raise UsageError(f"--{flag} is required"
+                                 f" (or set {ENV_PREFIX}{flag.upper()})")
         _bind(args.layers)
         return args.func(args)
     except UsageError as exc:

@@ -25,6 +25,9 @@ from .schema import (
     encode_cell,
 )
 
+#: The most rows numpy can index; a larger row count or bootstrap is refused.
+MAX_ROWS = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError, SchemaError
-from .dataset import Dataset
+from .dataset import MAX_ROWS, Dataset
 from .schema import FeatureSchema, hart_schema
 
 #: Label marginals of the bundled validation-scale fixture
@@ -41,6 +41,8 @@ def check_marginals(marginals, n_labels: int) -> np.ndarray:
 def _check_draw(n: int, signal_strength: float) -> None:
     if n < 1:
         raise DataError(f"row count {n} must be >= 1")
+    if n > MAX_ROWS:
+        raise DataError(f"row count {n} exceeds the largest array size {MAX_ROWS}")
     if not 0.0 <= signal_strength <= 1.0:
         raise DataError(f"signal_strength {signal_strength} outside [0, 1]")
 

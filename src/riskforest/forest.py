@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .data.dataset import Dataset, split_holdout
+from .data.dataset import MAX_ROWS, Dataset, split_holdout
 from .errors import CalibrationError, DataError, FingerprintMismatchError
 from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
                    write_trees)
@@ -33,6 +33,13 @@ FOREST_FORMAT_LINE = "riskforest-forest v2"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+
+def _class_weights(weights) -> tuple[float, ...]:
+    cw = tuple(float(w) for w in weights)
+    if not all(0 < w < math.inf for w in cw):
+        raise DataError("class weights must be finite and positive")
+    return cw
 
 
 @dataclass(frozen=True)
@@ -49,15 +56,17 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
-        if self.bootstrap_size is not None and self.bootstrap_size < 1:
-            raise DataError("bootstrap_size must be >= 1")
+        if self.bootstrap_size is not None:
+            if self.bootstrap_size < 1:
+                raise DataError("bootstrap_size must be >= 1")
+            if self.bootstrap_size > MAX_ROWS:
+                raise DataError(f"bootstrap_size {self.bootstrap_size} exceeds"
+                                f" the largest array size {MAX_ROWS}")
         if self.feature_subset_size is not None and self.feature_subset_size < 1:
             raise DataError("feature_subset_size must be >= 1")
         if self.class_weights is not None:
-            cw = tuple(float(w) for w in self.class_weights)
-            if not all(0 < w < math.inf for w in cw):
-                raise DataError("class weights must be finite and positive")
-            object.__setattr__(self, "class_weights", cw)
+            object.__setattr__(self, "class_weights",
+                               _class_weights(self.class_weights))
 
     def resolved(self, data: Dataset) -> "ForestConfig":
         """Fill data-dependent defaults so the config is fully explicit."""
@@ -209,18 +218,17 @@ def oob_predict(forest: Forest, data: Dataset):
     the rows the forest was trained on.
     """
     _check_fingerprint(forest, data)
-    n = len(data)
     if data_digest(data) != forest.data_digest:
         raise FingerprintMismatchError(
             "out-of-bag figures need the training data; this dataset's digest"
             f" {data_digest(data)} is not the model's {forest.data_digest}")
-    inbag = forest.inbag
-    if any(b.size and b.max() >= n for b in inbag):
+    if len(data) != forest.n_train:
         raise FingerprintMismatchError(
-            "dataset is smaller than the training set this model recorded")
+            f"dataset has {len(data)} rows, the model's training set"
+            f" {forest.n_train}")
     votes = forest_votes(forest, data.X)
     oob = np.ones(votes.shape, dtype=bool)
-    for t, rows in enumerate(inbag):
+    for t, rows in enumerate(forest.inbag):
         oob[t, rows] = False
     tally = tally_votes(votes, forest.n_labels, keep=oob)
     oob_counts = oob.sum(axis=0)
@@ -307,44 +315,27 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: floa
 # -- save/load -----------------------------------------------------------
 
 
-# Header keys of a forest document, in the order they are written.
-_HEADER_KEYS = ("fingerprint", "labels", "n_features", "n_trees",
-                "class_weights", "feature_subset_size", "min_leaf", "max_depth",
-                "master_seed", "bootstrap_size", "identity_bootstrap",
-                "n_train", "data_digest")
-
-
 def save_forest(forest: Forest, path) -> None:
-    """Write the forest as a deterministic text document.
+    """Write the forest as a deterministic text document: the header lines of
+    ``_HEADER`` in its order, then the trees.
 
     In-bag lists are not written: load_forest draws them again from the
     seed, ``n_train`` and ``bootstrap_size``.
     """
-    cfg = forest.config
-    values = {
-        "fingerprint": forest.fingerprint,
-        "labels": ",".join(forest.labels),
-        "n_features": forest.n_features,
-        "n_trees": cfg.n_trees,
-        "class_weights": ",".join(repr(w) for w in cfg.class_weights),
-        "feature_subset_size": cfg.feature_subset_size,
-        "min_leaf": cfg.min_leaf,
-        "max_depth": cfg.max_depth,
-        "master_seed": cfg.master_seed,
-        "bootstrap_size": cfg.bootstrap_size,
-        "identity_bootstrap": int(cfg.identity_bootstrap),
-        "n_train": forest.n_train,
-        "data_digest": forest.data_digest,
-    }
-    lines = [FOREST_FORMAT_LINE] + [f"{key} {values[key]}" for key in _HEADER_KEYS]
+    lines = [FOREST_FORMAT_LINE]
+    for key in _HEADER:
+        value = getattr(forest.config if key in _CONFIG_KEYS else forest, key)
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key} {int(value) if isinstance(value, bool) else value}")
     lines += write_trees(forest.table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, limit=math.inf) -> int:
     value = int(text)
-    if value < 1:
+    if not 1 <= value <= limit:
         raise ValueError(text)
     return value
 
@@ -375,6 +366,28 @@ def _hex16(text: str) -> str:
     return text
 
 
+# The header lines of a forest document, in the order save_forest writes
+# them, each with the function that reads and checks its value. A key names
+# a ForestConfig field or else a Forest attribute. A reader raises
+# ValueError for a malformed value, or DataError with its own message.
+_HEADER = {
+    "fingerprint": _hex16,
+    "labels": _labels,
+    "n_features": _positive_int,
+    "n_trees": _positive_int,
+    "class_weights": lambda text: _class_weights(text.split(",")),
+    "feature_subset_size": _positive_int,
+    "min_leaf": _positive_int,
+    "max_depth": _positive_int,
+    "master_seed": _natural,
+    "bootstrap_size": lambda text: _positive_int(text, MAX_ROWS),
+    "identity_bootstrap": _bit,
+    "n_train": _positive_int,
+    "data_digest": _hex16,
+}
+_CONFIG_KEYS = tuple(f.name for f in fields(ForestConfig))
+
+
 def load_forest(path, schema=None) -> Forest:
     """Read a forest document into a node table; any malformed input raises
     DataError with its line number. When a schema is given, the model's
@@ -396,66 +409,44 @@ def load_forest(path, schema=None) -> Forest:
                           f" {FOREST_FORMAT_LINE!r} only (v1 stored in-bag"
                           " lists; retrain the model to write v2)")
         raise fail(1, f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
-    header: dict[str, tuple[int, str]] = {}
+    values, at = {}, {}  # each header key's value and line number
     pos = 1
     while pos < len(lines) and not lines[pos].startswith("tree "):
-        key, _, value = lines[pos].partition(" ")
-        if key not in _HEADER_KEYS or key in header:
+        key, _, text = lines[pos].partition(" ")
+        if key not in _HEADER or key in values:
             raise fail(pos + 1, f"unexpected header line {lines[pos]!r}")
-        header[key] = (pos + 1, value)
+        try:
+            values[key] = _HEADER[key](text)
+        except DataError as exc:
+            raise fail(pos + 1, str(exc)) from None
+        except ValueError:
+            raise fail(pos + 1, f"bad {key} {text!r}") from None
+        at[key] = pos + 1
         pos += 1
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing = [key for key in _HEADER if key not in values]
     if missing:
         raise fail(pos + 1, "forest header missing " + ", ".join(missing))
-
-    def field(key, convert):
-        lineno, value = header[key]
-        try:
-            return convert(value)
-        except ValueError:
-            raise fail(lineno, f"bad {key} {value!r}") from None
-
-    labels = field("labels", _labels)
-    fingerprint = field("fingerprint", _hex16)
-    n_features = field("n_features", _positive_int)
-    n_train = field("n_train", _positive_int)
-    digest = field("data_digest", _hex16)
-    try:
-        cfg = ForestConfig(
-            n_trees=field("n_trees", _positive_int),
-            class_weights=field("class_weights",
-                                lambda v: tuple(float(w) for w in v.split(","))),
-            feature_subset_size=field("feature_subset_size", _positive_int),
-            min_leaf=field("min_leaf", _positive_int),
-            max_depth=field("max_depth", _positive_int),
-            master_seed=field("master_seed", _natural),
-            bootstrap_size=field("bootstrap_size", _positive_int),
-            identity_bootstrap=field("identity_bootstrap", _bit),
-        )
-    except DataError as exc:
-        raise fail(header["class_weights"][0], str(exc)) from None
-    if len(cfg.class_weights) != len(labels):
-        raise fail(header["class_weights"][0],
-                   f"{len(cfg.class_weights)} class weights for"
-                   f" {len(labels)} labels")
+    cfg = ForestConfig(**{key: values.pop(key) for key in _CONFIG_KEYS})
+    n_labels, n_features = len(values["labels"]), values["n_features"]
+    if len(cfg.class_weights) != n_labels:
+        raise fail(at["class_weights"],
+                   f"{len(cfg.class_weights)} class weights for {n_labels} labels")
     n_categories = None
     if schema is not None:
-        if schema.fingerprint() != fingerprint:
+        if schema.fingerprint() != values["fingerprint"]:
             raise FingerprintMismatchError(
                 f"schema {schema.fingerprint()} does not match the saved"
-                f" model's {fingerprint}")
+                f" model's {values['fingerprint']}")
         if schema.n_features != n_features:
-            raise fail(header["n_features"][0],
+            raise fail(at["n_features"],
                        f"model has {n_features} features, the schema"
                        f" {schema.n_features}")
         n_categories = [len(spec.categories) for spec in schema.specs]
 
     try:
-        table = read_trees(lines, pos, len(labels), n_features, n_categories)
+        table = read_trees(lines, pos, n_labels, n_features, n_categories)
     except DataError as exc:
         raise fail(exc.row + 1, str(exc)) from None
     if table.n_trees != cfg.n_trees:  # read_trees ends at the last line
         raise fail(len(lines), f"{table.n_trees} trees, header says {cfg.n_trees}")
-    return Forest(config=cfg, fingerprint=fingerprint, labels=labels,
-                  table=table, n_features=n_features, n_train=n_train,
-                  data_digest=digest)
+    return Forest(config=cfg, table=table, **values)

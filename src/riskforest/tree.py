@@ -482,8 +482,13 @@ class _LevelGrower:
         threshold = np.full(split.size, np.nan)
         last = pick[win[numeric]]
         v0 = ranks.start[feature[numeric]]
-        threshold[numeric] = (ranks.values[v0 + cell_rank[last]]
-                              + ranks.values[v0 + cell_rank[last + 1]]) / 2.0
+        below = ranks.values[v0 + cell_rank[last]]
+        above = ranks.values[v0 + cell_rank[last + 1]]
+        # The halves' sum cannot overflow, and equals (below + above) / 2
+        # wherever that is finite and normal. Where it rounds up to
+        # ``above`` (adjacent floats), the split is at ``below``.
+        middle = below / 2 + above / 2
+        threshold[numeric] = np.where(middle < above, middle, below)
         into = goes & subset[ws]
         codes = ranks.values[ranks.start[seg_feat[ws[into]]]
                              + cell_rank[seq[wp[into]]]].astype(np.int64)
@@ -709,8 +714,10 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
     ``tree t`` and tree t's node lines (``leaf w,..``, ``split f <= t`` or
     ``split f in c,..``) in pre-order, tree after tree, then ``end`` as the
     last line. It checks the structure (trees in order, two subtrees per
-    split, no node after a finished tree) and that every node fits the label
-    and feature counts and, when given them, each feature's category count.
+    split, no node after a finished tree), that leaf weights are finite and
+    nonnegative with a positive sum and thresholds finite, and that every
+    node fits the label and feature counts and, when given them, each
+    feature's category count.
     A violation raises DataError whose ``row`` is the offending line's index.
     """
     # Typed buffers: a list of Python numbers takes four times the memory.
@@ -762,6 +769,8 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
             if not 0 < sum(w) < inf:  # also false when any weight is not finite
                 raise DataError("leaf class weights must be finite and sum to > 0",
                                 row=row)
+            if min(w) < 0:
+                raise DataError("leaf class weights must not be negative", row=row)
             leaf_nodes.append(i)
             leaf_weights.extend(w)
             f, thr = 0, nan
@@ -773,6 +782,8 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
             if not 0 <= f < n_features:
                 raise DataError(f"split feature {f} outside the model's"
                                 f" {n_features} features", row=row)
+            if codes is None and not -inf < thr < inf:
+                raise DataError("split threshold must be finite", row=row)
             if codes is not None:
                 limit = (MAX_CATEGORY_CODE + 1 if n_categories is None
                          else n_categories[f])

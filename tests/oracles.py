@@ -87,7 +87,9 @@ def greedy_tree_oracle(X, y, kinds, K, class_weights, min_leaf, max_depth):
             values = sorted({X[r][j] for r in rows})
             if kinds[j] in NUMERIC_KINDS:
                 for a, b in zip(values, values[1:]):
-                    t = (a + b) / 2.0
+                    t = a / 2 + b / 2  # (a + b) / 2 overflows past ~9e307
+                    if not t < b:  # rounded up to b: split at a
+                        t = a
                     left = [r for r in rows if X[r][j] <= t]
                     right = [r for r in rows if X[r][j] > t]
                     if len(left) < min_leaf or len(right) < min_leaf:

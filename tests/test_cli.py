@@ -75,6 +75,33 @@ def test_seed_required_for_generate(tmp_path):
     assert run("generate", "--n", "10", "--out", str(tmp_path / "g")) == 2
 
 
+_REQUIRED = {
+    "reproduce-tables": ("out",),
+    "generate": ("out", "seed"),
+    "train": ("out", "seed", "data"),
+    "predict": ("out", "model", "data"),
+    "evaluate": ("out", "model", "data"),
+    "audit": ("out", "model", "data"),
+    "baseline": ("out",),
+    "k-anon": ("out", "data", "quasi"),
+}
+
+
+@pytest.mark.parametrize("verb, flag", [(verb, flag) for verb, flags in
+                                        _REQUIRED.items() for flag in flags])
+def test_missing_required_flag_is_usage_error(tmp_path, capsys, monkeypatch,
+                                              verb, flag):
+    for name in _REQUIRED[verb]:
+        monkeypatch.delenv(f"RISKFOREST_{name.upper()}", raising=False)
+    values = {"out": str(tmp_path / "o"), "seed": "1"}
+    argv = [a for name in _REQUIRED[verb] if name != flag
+            for a in (f"--{name}", values.get(name, "x"))]
+    assert run(verb, *argv) == 2
+    assert capsys.readouterr().err == (f"usage error: --{flag} is required"
+                                       f" (or set RISKFOREST_{flag.upper()})\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("RISKFOREST_SEED", "7")
     out = tmp_path / "g"
@@ -302,6 +329,7 @@ def test_infinite_years_since_cell_exits_one_naming_row_and_column(tmp_path,
 @pytest.mark.parametrize("mode", [(), ("--two-group",)])
 @pytest.mark.parametrize("flag, value, shown", [
     ("--n", "-3", "row count -3"), ("--n", "0", "row count 0"),
+    ("--n", "1" + "0" * 23, "row count 1" + "0" * 23),
     ("--signal", "5", "signal_strength 5.0"),
     ("--signal", "-1", "signal_strength -1.0")])
 def test_generate_rejects_bad_row_count_or_signal(tmp_path, capsys, mode, flag,
@@ -388,6 +416,9 @@ _AUDIT = ("audit", "--model", "{model}", "--data", "{data}", "--group", "Group")
      "argument --signal"),
     (("train", "--data", "{data}", "--group", "Group", "--trees", "2",
       "--seed", "1"), {"RISKFOREST_WEIGHTS": "1,x,1"}, "comma-separated numbers"),
+    (("train", "--data", "{data}", "--group", "Group", "--trees", "2",
+      "--seed", "1", "--bootstrap-size", "1" + "0" * 23), {},
+     "bootstrap_size 1" + "0" * 23),
 ])
 def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
         tmp_path, capsys, monkeypatch, two_group_model, argv, env, shown):

@@ -183,6 +183,15 @@ def test_oob_refuses_a_same_size_holdout(tmp_path):
             oob_predict(model, hold)
 
 
+@pytest.mark.parametrize("n_train", [100, 1000])
+def test_oob_refuses_a_model_whose_n_train_was_edited(hart_data, model_lines,
+                                                      tmp_path, n_train):
+    lines = list(model_lines)
+    lines[_first(lines, "n_train ")] = f"n_train {n_train}"
+    with pytest.raises(FingerprintMismatchError, match="dataset has 400 rows"):
+        oob_predict(_load_lines(tmp_path, lines), hart_data)
+
+
 def test_predict_forest_rejects_a_longer_row(hart_forest):
     with pytest.raises(DataError):
         predict_forest(hart_forest, np.zeros(37))
@@ -210,8 +219,9 @@ def test_bad_header_number_is_located(tmp_path, model_lines):
     lines = list(model_lines)
     i = _first(lines, "n_trees ")
     lines[i] = "n_trees x"
-    with pytest.raises(DataError, match=f"line {i + 1}: bad n_trees"):
+    with pytest.raises(DataError) as err:
         _load_lines(tmp_path, lines)
+    assert str(err.value) == f"{tmp_path / 'bad.forest'}, line {i + 1}: bad n_trees 'x'"
 
 
 def test_file_ending_after_tree_line_is_located(tmp_path, model_lines):
@@ -328,6 +338,24 @@ _LOAD_FAULTS = {
     "zero-sum leaf weights": (
         lambda m: _replace(m, "leaf ", "leaf 0.0,0.0,0.0"),
         "leaf class weights must be finite and sum to > 0"),
+    "negative leaf weight": (
+        lambda m: _replace(m, "leaf ", "leaf -5.0,10.0,0.0"),
+        "leaf class weights must not be negative"),
+    "NaN threshold": (
+        lambda m: _replace(m, "split ", "split 10 <= nan"),
+        "split threshold must be finite"),
+    "infinite threshold": (
+        lambda m: _replace(m, "split ", "split 10 <= inf"),
+        "split threshold must be finite"),
+    "bad configuration value": (
+        lambda m: _replace(m, "n_trees ", "n_trees x"),
+        "bad n_trees 'x'"),
+    "configuration value out of range": (
+        lambda m: _replace(m, "min_leaf ", "min_leaf 0"),
+        "bad min_leaf '0'"),
+    "bootstrap beyond any array": (
+        lambda m: _replace(m, "bootstrap_size ", "bootstrap_size 1" + "0" * 23),
+        "bad bootstrap_size '1" + "0" * 23 + "'"),
     "tree out of order": (
         lambda m: _replace(m, "tree 1", "tree 2"),
         "expected 'tree 1', got 'tree 2'"),

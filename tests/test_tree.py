@@ -43,6 +43,25 @@ def test_two_separable_rows_make_depth_one_tree(small_schema):
     assert np.argmax(predict_tree(tree, X[1])) == 1
 
 
+_EPS = np.finfo(float).eps
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize("low, high", [
+    (1e308, 1.5e308), (-1.5e308, -1e308), (-_MAX, _MAX), (_MAX / 2 * 1.5, _MAX),
+    (1 + _EPS, 1 + 2 * _EPS), (1.0, 1 + _EPS), (3 * _TINY, 4 * _TINY),
+    (-_TINY, _TINY)])
+def test_threshold_lies_between_the_two_values_it_separates(small_schema, low,
+                                                            high):
+    X = np.array([[low, 0.0, 0.0], [high, 0.0, 0.0]])
+    tree = train_tree(Dataset(small_schema, X, np.array([0, 1])), (1.0, 1.0),
+                      feature_subset_size=3, min_leaf=1, max_depth=4, seed=0)
+    assert low <= tree.rule.threshold < high
+    assert np.argmax(predict_tree(tree, X[0])) == 0
+    assert np.argmax(predict_tree(tree, X[1])) == 1
+
+
 def test_sentinel_routes_past_years_since_threshold(tri_schema):
     tree = tree_from_lines(["split 2 <= 30.0", "leaf 1.0,0.0,0.0",
                             "leaf 0.0,0.0,1.0"], 3, tri_schema.n_features)
