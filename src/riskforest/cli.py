@@ -232,8 +232,12 @@ def cmd_reproduce_tables(args) -> int:
 def cmd_generate(args) -> int:
     out = Path(args.out)
     args.two_group = args.two_group or _env_flag("TWO_GROUP")
-    if args.two_group and not args.group:
-        args.group = "Group"
+    if args.two_group:
+        args.group = args.group or "Group"
+        args.group_gap = 0.2 if args.group_gap is None else args.group_gap
+    elif args.group_gap is not None:
+        raise UsageError(f"--group-gap (or {ENV_PREFIX}GROUP_GAP) needs --two-group"
+                         f" (or {ENV_PREFIX}TWO_GROUP=1)")
     schema = _load_schema(args)
     marginals = (_parse_floats(args.marginals) if args.marginals
                  else VALIDATION_MARGINALS)
@@ -514,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-group", action="store_true",
                    help="plant a high-risk base-rate gap between two groups"
                         " (or set RISKFOREST_TWO_GROUP=1)")
-    p.add_argument("--group-gap", type=_number, default=_env("GROUP_GAP", "0.2"))
+    p.add_argument("--group-gap", type=_number, default=_env("GROUP_GAP"),
+                   help="the gap --two-group plants (default 0.2)")
     p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"),
                    required=("out", "seed"))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +86,8 @@ class Forest:
     what it needs to refuse data it was not made for.
 
     ``n_features`` is the row length the model scores, ``n_train`` the
-    size of its training set, from which ``inbag`` draws the in-bag lists
-    again, and ``data_digest`` identifies its training rows.
+    size of its training set, from which ``oob_predict`` draws the in-bag
+    rows again, and ``data_digest`` identifies its training rows.
     """
 
     def __init__(self, config: ForestConfig, *, fingerprint: str, labels,
@@ -105,11 +104,6 @@ class Forest:
     @property
     def n_labels(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def inbag(self) -> tuple[np.ndarray, ...]:
-        return tuple(bootstrap_rows(self.config, i, self.n_train)
-                     for i in range(self.config.n_trees))
 
 
 def derive_tree_seed(master_seed: int, index: int) -> int:
@@ -177,15 +171,10 @@ def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
     return np.take(forest.table.vote, leaves, out=leaves)
 
 
-def tally_votes(votes: np.ndarray, n_labels: int, keep=None) -> np.ndarray:
-    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix.
-
-    With a boolean ``keep`` of the same shape, only the votes it marks count.
-    """
+def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
+    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix."""
     n_rows = votes.shape[1]
     cells = votes + n_labels * np.arange(n_rows)
-    if keep is not None:
-        cells = cells[keep]
     return np.bincount(cells.ravel(), minlength=n_rows * n_labels
                        ).reshape(n_rows, n_labels)
 
@@ -216,6 +205,9 @@ def oob_predict(forest: Forest, data: Dataset):
     Returns (labels, n_oob_trees) where n_oob_trees[i] counts the trees
     voting on row i. Raises FingerprintMismatchError unless ``data`` holds
     the rows the forest was trained on.
+
+    In-bag votes, drawn again from the seed tree by tree, are overwritten
+    with an extra label K; the tally of K + 1 labels drops its column.
     """
     _check_fingerprint(forest, data)
     if data_digest(data) != forest.data_digest:
@@ -227,11 +219,11 @@ def oob_predict(forest: Forest, data: Dataset):
             f"dataset has {len(data)} rows, the model's training set"
             f" {forest.n_train}")
     votes = forest_votes(forest, data.X)
-    oob = np.ones(votes.shape, dtype=bool)
-    for t, rows in enumerate(forest.inbag):
-        oob[t, rows] = False
-    tally = tally_votes(votes, forest.n_labels, keep=oob)
-    oob_counts = oob.sum(axis=0)
+    K = forest.n_labels
+    for t in range(forest.config.n_trees):
+        votes[t, bootstrap_rows(forest.config, t, forest.n_train)] = K
+    tally = tally_votes(votes, K + 1)[:, :K]
+    oob_counts = tally.sum(axis=1)
     labels = np.argmax(tally, axis=1)
     labels[oob_counts == 0] = -1
     return labels, oob_counts

@@ -507,7 +507,7 @@ def _pre_order_table(levels) -> NodeTable:
         sizes.insert(0, size)
     n = int(sizes[0][0])
     feature = np.zeros(n, dtype=np.intp)
-    left, right = np.arange(n), np.arange(n)  # a leaf points to itself
+    right = np.arange(n)  # a leaf points to itself
     threshold = np.full(n, np.nan)
     weights = np.zeros((n, levels[0][0].shape[1]))
     none = np.empty(0, dtype=np.intp)
@@ -521,15 +521,13 @@ def _pre_order_table(levels) -> NodeTable:
         at = pos[split]
         feature[at] = feat
         threshold[at] = thr
-        left[at] = at + 1
         right[at] = at + 1 + sizes[depth + 1][0::2]
         code_at.append(np.repeat(at, n_codes))
         code.append(codes)
-        pos = np.stack((left[at], right[at]), axis=1).ravel()
+        pos = np.stack((at + 1, right[at]), axis=1).ravel()
     weights[pos] = levels[-1][0]
-    return NodeTable(feature=feature, left=left, right=right,
-                     threshold=threshold, weights=weights,
-                     roots=np.zeros(1, dtype=np.intp),
+    return NodeTable(feature=feature, right=right, threshold=threshold,
+                     weights=weights, roots=np.zeros(1, dtype=np.intp),
                      member_node=np.concatenate(code_at),
                      member_code=np.concatenate(code))
 
@@ -547,14 +545,15 @@ MAX_CATEGORY_CODE = (1 << 20) - 1
 class NodeTable:
     """Every node of one or more trees in flat arrays, each tree in pre-order.
 
-    Node i splits on ``feature[i]`` and has children ``left[i]`` and
-    ``right[i]``, both after it. A numeric split sends a row left when
+    Node i splits on ``feature[i]``; its left child is the next node and
+    its right child ``right[i]``. A numeric split sends a row left when
     ``row[feature] <= threshold[i]``. A subset split has a NaN threshold
     and sends it left when the value, truncated like ``int()``, is a
     member: pair j makes code ``member_code[j]`` a member of node
     ``member_node[j]``, and the pairs are kept sorted by node, then code.
-    A leaf has a NaN threshold and no members, and points to itself on
-    both sides, so extra levels leave it in place.
+    A leaf has a NaN threshold, no members and ``right[i] == i``. The
+    constructor derives ``is_leaf`` and ``left`` (i + 1 at a split, i at a
+    leaf), so a leaf points to itself and extra levels leave it in place.
 
     The constructor lays the members out as flags. ``members`` opens with
     a False flag, then holds each subset split's flags in node order, each
@@ -570,10 +569,9 @@ class NodeTable:
     deepest leaf over all trees.
     """
 
-    def __init__(self, feature, left, right, threshold, weights, roots,
+    def __init__(self, feature, right, threshold, weights, roots,
                  member_node, member_code):
         self.feature = feature
-        self.left = left
         self.right = right
         self.threshold = threshold
         self.weights = weights
@@ -581,8 +579,9 @@ class NodeTable:
         order = np.lexsort((member_code, member_node))
         self.member_node = node = np.asarray(member_node, dtype=np.intp)[order]
         self.member_code = code = np.asarray(member_code, dtype=np.intp)[order]
-        n = len(left)
-        self.is_leaf = left == np.arange(n)
+        n = len(right)
+        self.is_leaf = right == np.arange(n)
+        self.left = np.arange(n) + ~self.is_leaf
 
         last = np.flatnonzero(np.diff(node, append=-1))  # a split's largest code
         self.width = np.zeros(n, dtype=np.intp)
@@ -596,7 +595,7 @@ class NodeTable:
         self.depth, level = 0, roots
         while (level := level[~self.is_leaf[level]]).size:  # children come later
             self.depth += 1
-            level = np.concatenate((left[level], right[level]))
+            level = np.concatenate((level + 1, right[level]))
 
         splits = feature[~self.is_leaf]
         self.n_columns = int(splits.max()) + 1 if splits.size else 0
@@ -609,7 +608,7 @@ class NodeTable:
     @classmethod
     def concatenate(cls, tables) -> NodeTable:
         """The tables' trees in one table, in order."""
-        n_nodes = np.array([len(t.left) for t in tables])
+        n_nodes = np.array([len(t.right) for t in tables])
         node0 = np.cumsum(n_nodes) - n_nodes
 
         def joined(name, shift=False):
@@ -617,11 +616,10 @@ class NodeTable:
             whole = np.concatenate(parts)
             return whole + np.repeat(node0, list(map(len, parts))) if shift else whole
 
-        return cls(feature=joined("feature"), left=joined("left", True),
-                   right=joined("right", True), threshold=joined("threshold"),
-                   weights=joined("weights"), roots=joined("roots", True),
-                   member_node=joined("member_node", True),
-                   member_code=joined("member_code"))
+        return cls(feature=joined("feature"), right=joined("right", True),
+                   threshold=joined("threshold"), weights=joined("weights"),
+                   roots=joined("roots", True), member_code=joined("member_code"),
+                   member_node=joined("member_node", True))
 
     @property
     def n_trees(self) -> int:
@@ -678,16 +676,16 @@ class NodeTable:
         floats in repr round-trip form."""
         # In pre-order they run up to the leaf reached by always going right.
         last = root
-        while self.left[last] != last:
+        while not self.is_leaf[last]:
             last = self.right[last]
         span = range(root, int(last) + 1)
         nodes = slice(span.start, span.stop)
         lines = []
-        for i, f, width, left, thr, w in zip(
+        for i, f, width, leaf, thr, w in zip(
                 span, self.feature[nodes].tolist(), self.width[nodes].tolist(),
-                self.left[nodes].tolist(), self.threshold[nodes].tolist(),
+                self.is_leaf[nodes].tolist(), self.threshold[nodes].tolist(),
                 self.weights[nodes].tolist()):
-            if left == i:
+            if leaf:
                 lines.append("leaf " + ",".join(map(repr, w)))
             elif width:
                 lines.append(f"split {f} in "
@@ -721,7 +719,7 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
     A violation raises DataError whose ``row`` is the offending line's index.
     """
     # Typed buffers: a list of Python numbers takes four times the memory.
-    feature, left, right, threshold = array("q"), array("q"), array("q"), array("d")
+    feature, right, threshold = array("q"), array("q"), array("d")
     member_node, member_code = array("q"), array("q")
     leaf_nodes, leaf_weights = array("q"), array("d")
     roots: list[int] = []
@@ -795,7 +793,6 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
                 member_code.extend(codes)
             waiting.append(i)
         feature.append(f)
-        left.append(i if kind == "leaf" else i + 1)
         right.append(i)  # a split's is set where its left subtree ends
         threshold.append(thr)
     else:
@@ -811,11 +808,10 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
 
     weights = np.zeros((len(threshold), n_labels))
     weights[ints(leaf_nodes)] = np.frombuffer(leaf_weights).reshape(-1, n_labels)
-    return NodeTable(feature=ints(feature), left=ints(left), right=ints(right),
+    return NodeTable(feature=ints(feature), right=ints(right),
                      threshold=np.frombuffer(threshold).copy(), weights=weights,
                      roots=np.array(roots, dtype=np.intp),
-                     member_node=ints(member_node),
-                     member_code=ints(member_code))
+                     member_node=ints(member_node), member_code=ints(member_code))
 
 
 # -- prediction ----------------------------------------------------------

@@ -147,6 +147,59 @@ def oracle_tree_predict(node, row):
     return w / w.sum()
 
 
+def tree_from_lines_oracle(lines):
+    """The tree given by its pre-order node lines (``leaf w,..``,
+    ``split f <= t`` or ``split f in c,..``), as the nested dict
+    oracle_tree_predict walks. Recursive descent: a split's left subtree
+    starts on the next line, and its right subtree where the left one ends.
+    """
+    rest = iter(lines)
+
+    def node():
+        kind, *fields = next(rest).split(" ")
+        if kind == "leaf":
+            return {"leaf": [float(w) for w in fields[0].split(",")]}
+        feature, op, arg = fields
+        predicate = (("threshold", float(arg)) if op == "<=" else
+                     ("subset", frozenset(int(c) for c in arg.split(","))))
+        left = node()
+        right = node()
+        return {"feature": int(feature), "predicate": predicate,
+                "left": left, "right": right}
+
+    tree = node()
+    assert next(rest, None) is None, "lines after the tree's last leaf"
+    return tree
+
+
+# -- out-of-bag voting ---------------------------------------------------------
+
+
+def oob_oracle(forest, data):
+    """(labels, counts) of out-of-bag voting, one tree and one row at a time.
+
+    A tree votes on every row outside its bootstrap, for its leaf's
+    largest normalised weight (ties to the lower-risk, higher label
+    index). A row takes the plurality of its votes, ties to the lowest
+    label index, and -1 when no tree voted. Each tree is walked from its
+    node lines by tree_from_lines_oracle, not through the node table.
+    """
+    from riskforest.forest import bootstrap_rows
+
+    n, K = len(data), forest.n_labels
+    tally = [[0] * K for _ in range(n)]
+    for t, root in enumerate(forest.table.roots.tolist()):
+        tree = tree_from_lines_oracle(forest.table.subtree_lines(root))
+        inbag = set(bootstrap_rows(forest.config, t, n).tolist())
+        for i in range(n):
+            if i not in inbag:
+                dist = oracle_tree_predict(tree, data.X[i]).tolist()
+                tally[i][max(range(K), key=lambda k: (dist[k], k))] += 1
+    labels = [max(range(K), key=lambda k: (row[k], -k)) if sum(row) else -1
+              for row in tally]
+    return np.array(labels), np.array([sum(row) for row in tally])
+
+
 # -- predicate replay --------------------------------------------------------
 
 

@@ -260,6 +260,65 @@ def test_two_group_env_garbage_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "RISKFOREST_TWO_GROUP" in capsys.readouterr().err
 
 
+_GAP_NEEDS_TWO_GROUP = ("usage error: --group-gap (or RISKFOREST_GROUP_GAP) needs"
+                        " --two-group (or RISKFOREST_TWO_GROUP=1)\n")
+
+
+@pytest.mark.parametrize("argv, env", [(("--group-gap", "0.3"), None),
+                                       (("--group-gap", "0.2"), None),
+                                       ((), "0.3")])
+def test_group_gap_without_two_group_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                    argv, env):
+    monkeypatch.delenv("RISKFOREST_TWO_GROUP", raising=False)
+    if env is not None:
+        monkeypatch.setenv("RISKFOREST_GROUP_GAP", env)
+    out = tmp_path / "g"
+    assert run("generate", "--n", "30", "--seed", "1", *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == _GAP_NEEDS_TWO_GROUP
+    assert not out.exists()
+
+
+def test_plain_generate_header_records_no_group_gap(tmp_path, monkeypatch):
+    monkeypatch.delenv("RISKFOREST_GROUP_GAP", raising=False)
+    out = tmp_path / "g"
+    assert run("generate", "--n", "30", "--seed", "1", "--out", str(out)) == 0
+    config = json.loads((out / "generate.json").read_text())["header"]["config"]
+    assert config["two-group"] is False and config["group-gap"] is None
+
+
+@pytest.mark.parametrize("argv, env, gap", [
+    ((), None, 0.2), (("--group-gap", "0.3"), None, 0.3), ((), "0.25", 0.25),
+    (("--group-gap", "0.3"), "0.25", 0.3)])
+def test_two_group_records_the_gap_it_planted(tmp_path, monkeypatch, argv, env,
+                                              gap):
+    monkeypatch.delenv("RISKFOREST_GROUP_GAP", raising=False)
+    if env is not None:
+        monkeypatch.setenv("RISKFOREST_GROUP_GAP", env)
+    out = tmp_path / "g"
+    assert run("generate", "--n", "30", "--seed", "1", "--two-group", *argv,
+               "--out", str(out)) == 0
+    payload = json.loads((out / "generate.json").read_text())
+    assert payload["header"]["config"]["group-gap"] == gap
+    assert f"gap={gap}," in payload["result"]["provenance"]
+
+
+def test_group_without_two_group_writes_a_random_group_column(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run("generate", "--n", "200", "--seed", "1", "--group", "Zone",
+               "--out", str(out)) == 0
+    header, *rows = (out / "synthetic.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "Zone"
+    assert {row.split(",")[-1] for row in rows} == {"A", "B"}
+    config = json.loads((out / "generate.json").read_text())["header"]["config"]
+    assert config["group"] == "Zone" and config["group-gap"] is None
+    collide = tmp_path / "c"
+    assert run("generate", "--n", "30", "--seed", "1", "--group", "Gender",
+               "--out", str(collide)) == 1
+    assert capsys.readouterr().err == (
+        "error: group attribute 'Gender' collides with a column\n")
+    assert not collide.exists()
+
+
 def test_malformed_model_exits_one_with_located_message(tmp_path, pipeline_dirs,
                                                          capsys):
     gen, tr = pipeline_dirs

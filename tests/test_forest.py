@@ -20,6 +20,7 @@ from riskforest import (
 from riskforest.errors import CalibrationError, DataError, FingerprintMismatchError
 from riskforest.forest import (
     Forest,
+    bootstrap_rows,
     count_policy_errors,
     derive_tree_seed,
 )
@@ -42,7 +43,8 @@ def test_ensemble_of_one_identity_bootstrap_acts_like_single_tree(small_data):
                       min_leaf=2, max_depth=6,
                       seed=derive_tree_seed(123, 0))
     assert tree_lines(forest_trees(forest)[0]) == tree_lines(lone)
-    assert list(forest.inbag[0]) == list(range(len(small_data)))
+    assert np.array_equal(bootstrap_rows(forest.config, 0, forest.n_train),
+                          np.arange(len(small_data)))
 
 
 def test_training_is_repeatable(small_data, tmp_path):
@@ -59,7 +61,8 @@ def test_bootstrap_absent_fraction_near_inverse_e():
     data = generate_synthetic(hart_schema(), 1000, VALIDATION_MARGINALS, 0.3, 3)
     cfg = ForestConfig(n_trees=30, master_seed=9, max_depth=2)
     forest = train_forest(data, cfg)
-    absent = [1.0 - len(set(inbag.tolist())) / 1000 for inbag in forest.inbag]
+    absent = [1.0 - len(set(bootstrap_rows(forest.config, t, 1000).tolist())) / 1000
+              for t in range(cfg.n_trees)]
     assert np.mean(absent) == pytest.approx(np.exp(-1), abs=0.03)
 
 
@@ -151,7 +154,7 @@ def test_oob_single_tree_semantics(small_data):
     cfg = ForestConfig(n_trees=1, master_seed=31, max_depth=6)
     forest = train_forest(small_data, cfg)
     labels, counts = oob_predict(forest, small_data)
-    inbag = set(forest.inbag[0].tolist())
+    inbag = set(bootstrap_rows(forest.config, 0, forest.n_train).tolist())
     for i in range(len(small_data)):
         if i in inbag:
             assert labels[i] == -1 and counts[i] == 0

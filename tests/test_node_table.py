@@ -23,8 +23,9 @@ from riskforest import (
 )
 from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_votes
-from oracles import (forest_trees, replay_tree_predict, tree_apply, tree_depth,
-                     tree_from_lines)
+from oracles import (forest_trees, oob_oracle, oracle_tree_predict,
+                     replay_tree_predict, tree_apply, tree_depth, tree_from_lines,
+                     tree_from_lines_oracle)
 
 
 def _replay_votes(tree, X):
@@ -136,13 +137,10 @@ def test_codes_outside_a_subset_go_right_like_int_membership():
     assert (got == want).all()
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 4),
-       max_depth=st.integers(1, 6), high_weight=st.sampled_from([1.0, 2.5]))
-def test_save_load_save_is_byte_identical(tri_schema, tmp_path_factory, seed,
-                                          n_trees, max_depth, high_weight):
+def _tri_data(tri_schema, seed, n=60):
+    """``n`` random rows of every kind in ``tri_schema``: numeric, count,
+    years-since (30% at its sentinel), binary and categorical."""
     rng = np.random.default_rng(seed)
-    n = 60
     X = np.column_stack([
         rng.integers(18, 40, size=n) + rng.integers(0, 2, size=n) * 0.5,
         rng.integers(0, 4, size=n),
@@ -150,7 +148,41 @@ def test_save_load_save_is_byte_identical(tri_schema, tmp_path_factory, seed,
         rng.integers(0, 2, size=n),
         rng.integers(0, 5, size=n),
     ]).astype(float)
-    data = Dataset(tri_schema, X, rng.integers(0, 3, size=n))
+    return Dataset(tri_schema, X, rng.integers(0, 3, size=n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 3),
+       min_leaf=st.integers(1, 6), max_depth=st.integers(1, 8))
+def test_loaded_trees_predict_like_their_lines_read_by_recursive_descent(
+        tri_schema, tmp_path_factory, seed, n_trees, min_leaf, max_depth):
+    # The table derives each split's left child (the next node) itself;
+    # the oracle reads the pre-order rule from the model file on its own.
+    data = _tri_data(tri_schema, seed)
+    forest = train_forest(data, ForestConfig(
+        n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
+        feature_subset_size=3, master_seed=seed))
+    path = tmp_path_factory.mktemp("oracle") / "model.forest"
+    save_forest(forest, path)
+    loaded = load_forest(path, tri_schema)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("tree ")]
+    probes = np.vstack([data.X, _tri_data(tri_schema, seed + 1, n=20).X,
+                        [[-1e30, -1, -5, -1, -1], [1e30, 9, 1e30, 7, 9]]])
+    for tree, start, stop in zip(forest_trees(loaded), heads,
+                                 heads[1:] + [len(lines) - 1]):
+        oracle = tree_from_lines_oracle(lines[start + 1:stop])
+        got = tree_apply(tree, probes)
+        for row, dist in zip(probes, got):
+            assert (dist == oracle_tree_predict(oracle, row)).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 4),
+       max_depth=st.integers(1, 6), high_weight=st.sampled_from([1.0, 2.5]))
+def test_save_load_save_is_byte_identical(tri_schema, tmp_path_factory, seed,
+                                          n_trees, max_depth, high_weight):
+    data = _tri_data(tri_schema, seed)
     forest = train_forest(data, ForestConfig(
         n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
         class_weights=(high_weight, 1.0, 1.0)))
@@ -164,6 +196,24 @@ def test_save_load_save_is_byte_identical(tri_schema, tmp_path_factory, seed,
             == predict_dataset(loaded, data)[1]).all()
     for a, b in zip(oob_predict(forest, data), oob_predict(loaded, data)):
         assert (a == b).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 15),
+       bootstrap=st.sampled_from([20, 45, 60, 120, 240]),
+       max_depth=st.integers(1, 6))
+def test_oob_predict_equals_the_plain_loop_oracle(tri_schema, seed, n_trees,
+                                                  bootstrap, max_depth):
+    # 60 rows: bootstraps below and above n, so some rows may have no
+    # out-of-bag tree
+    data = _tri_data(tri_schema, seed)
+    forest = train_forest(data, ForestConfig(
+        n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
+        bootstrap_size=bootstrap))
+    labels, counts = oob_predict(forest, data)
+    want_labels, want_counts = oob_oracle(forest, data)
+    assert (counts == want_counts).all()
+    assert (labels == want_labels).all()
 
 
 # -- refusing data the model was not made for -----------------------------
