@@ -10,6 +10,10 @@ which trees never saw a row.
 All trees live in one flat node table (``tree.NodeTable``); every
 forest-level prediction is one level-by-level gather over it.
 
+Since no tree depends on another, a large forest's trees grow in forked
+worker processes, one per available CPU; the forest is the same for any
+number of workers.
+
 Vote ties: an individual tree breaks its leaf-distribution ties toward
 the lower-risk label; the forest breaks vote ties toward the higher-risk
 label (labels are ordered highest risk first).
@@ -19,6 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -32,6 +39,15 @@ FOREST_FORMAT_LINE = "riskforest-forest v2"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+#: Bootstrap draws (trees times bootstrap size) each tree worker must get.
+#: A forked worker costs a fork, and copy-on-write page faults in both
+#: processes while they run side by side; smaller forests grow in fewer
+#: workers, down to this process alone.
+WORKER_MIN_DRAWS = 1 << 13
+
+#: (tree, row) votes one pass of ``tally_votes`` counts together.
+TALLY_BLOCK_PAIRS = 1 << 16
 
 
 def _class_weights(weights) -> tuple[float, ...]:
@@ -131,27 +147,101 @@ def data_digest(data: Dataset) -> str:
     return h.hexdigest()[:16]
 
 
+def tree_workers(n_trees: int, bootstrap_size: int) -> int:
+    """Processes that grow a forest's trees: one per CPU this process may
+    run on, at most one per tree and one per WORKER_MIN_DRAWS bootstrap
+    draws, at least 1. Always 1 where the system cannot fork.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_trees,
+                      n_trees * bootstrap_size // WORKER_MIN_DRAWS))
+
+
 def train_forest(data: Dataset, config: ForestConfig) -> Forest:
     """Train config.n_trees trees on per-tree bootstraps of ``data``.
 
     Each tree is one ``train_tree`` call, and the trees' one-tree tables
-    are joined in index order into the forest's table.
+    are joined in index order into the forest's table. With W tree
+    workers, worker w grows trees w, w + W, ...; worker 0 is this process
+    and the others are forked children that send their tables back.
     """
     if len(data) == 0:
         raise DataError("cannot train on an empty dataset")
     cfg = config.resolved(data)
     n = len(data)
-    trees = [train_tree(data, cfg.class_weights, cfg.feature_subset_size,
-                        cfg.min_leaf, cfg.max_depth,
-                        seed=derive_tree_seed(cfg.master_seed, i),
-                        row_indices=bootstrap_rows(cfg, i, n))
-             for i in range(cfg.n_trees)]
-    return Forest(config=cfg,
-                  table=NodeTable.concatenate([tree.table for tree in trees]),
+
+    def grow(share):
+        return [train_tree(data, cfg.class_weights, cfg.feature_subset_size,
+                           cfg.min_leaf, cfg.max_depth,
+                           seed=derive_tree_seed(cfg.master_seed, i),
+                           row_indices=bootstrap_rows(cfg, i, n)).table
+                for i in share]
+
+    W = tree_workers(cfg.n_trees, cfg.bootstrap_size)
+    tables = [None] * cfg.n_trees
+    workers = []  # (worker, pid, read end of its pipe), not yet reaped
+    try:
+        for w in range(1, W):
+            workers.append((w, *_fork_worker(grow, range(w, cfg.n_trees, W))))
+        tables[0::W] = grow(range(0, cfg.n_trees, W))
+        while workers:
+            w, pid, pipe = workers.pop(0)
+            tables[w::W] = _worker_result(w, pid, pipe)
+    finally:
+        for _, pid, pipe in workers:  # left only when something raised
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return Forest(config=cfg, table=NodeTable.concatenate(tables),
                   fingerprint=data.schema.fingerprint(),
                   labels=data.schema.label_set,
                   n_features=data.schema.n_features, n_train=n,
                   data_digest=data_digest(data))
+
+
+def _fork_worker(grow, share):
+    """Fork a child that sends back ``grow(share)``, or the exception it
+    raised, pickled through a pipe; returns (pid, read end of the pipe).
+
+    The child always ends in ``os._exit``: it never returns into the
+    caller's code, so it runs none of the caller's ``finally`` blocks,
+    ``atexit`` hooks or stdio flushes.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, grow(share)))
+            except BaseException as exc:  # raised again in the parent
+                payload = pickle.dumps((False, exc))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _worker_result(w: int, pid: int, pipe) -> list:
+    """The tables worker ``w`` sent, once it has ended; raises what it raised."""
+    try:
+        with pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:  # a worker that was cut off may have sent part
+        raise OSError(f"tree worker {w} ended without a result"
+                      f" (exit status {code})")
+    ok, result = pickle.loads(payload)
+    if not ok:
+        raise result
+    return result
 
 
 # -- prediction ----------------------------------------------------------
@@ -168,11 +258,26 @@ def _check_fingerprint(forest: Forest, data: Dataset) -> None:
 def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n_trees, n_rows) matrix of per-tree vote label indices."""
     leaves = forest.table.leaves(X)
-    return np.take(forest.table.vote, leaves, out=leaves)
+    # Every leaf index is in range, so "clip" changes no vote; unlike the
+    # default mode it writes into ``leaves`` without first buffering a
+    # second (n_trees, n_rows) array.
+    return np.take(forest.table.vote, leaves, out=leaves, mode="clip")
 
 
 def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
-    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix."""
+    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix.
+
+    Rows are counted in blocks of at most TALLY_BLOCK_PAIRS votes, so no
+    second (n_trees, n_rows) array is made.
+    """
+    step = max(1, TALLY_BLOCK_PAIRS // votes.shape[0])
+    if votes.shape[1] <= step:
+        return _tally_block(votes, n_labels)
+    return np.concatenate([_tally_block(votes[:, r0:r0 + step], n_labels)
+                           for r0 in range(0, votes.shape[1], step)])
+
+
+def _tally_block(votes: np.ndarray, n_labels: int) -> np.ndarray:
     n_rows = votes.shape[1]
     cells = votes + n_labels * np.arange(n_rows)
     return np.bincount(cells.ravel(), minlength=n_rows * n_labels

@@ -183,10 +183,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _sample_features(keys: np.ndarray, n_features: int, m: int) -> np.ndarray:
-    """(len(keys), m) ascending indices of the features each node samples."""
-    draws = _splitmix64(keys[:, None]
-                        ^ _splitmix64(np.arange(n_features, dtype=np.uint64)))
+def _sample_features(keys: np.ndarray, feature_keys: np.ndarray, m: int) -> np.ndarray:
+    """(len(keys), m) ascending indices of the features each node samples;
+    ``feature_keys`` is splitmix64 of every feature index."""
+    draws = _splitmix64(keys[:, None] ^ feature_keys)
     return np.sort(np.argsort(draws, axis=1, kind="stable")[:, :m], axis=1)
 
 
@@ -203,17 +203,25 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
+def _run_heads(group: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values of ``group`` starts."""
+    new = np.ones(group.size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _first_near_best(score: np.ndarray, group: np.ndarray,
                      tol: np.ndarray) -> np.ndarray:
     """Per group, the earliest candidate within tol[group] of the group's
     best score; ``group`` is sorted. Groups whose scores are all -inf
     have none.
     """
-    heads = np.flatnonzero(np.diff(group, prepend=-1))
+    heads = _run_heads(group)
     top = np.maximum.reduceat(score, heads)
-    bar = np.repeat(top - tol[group[heads]], np.diff(heads, append=group.size))
+    ends = np.append(heads[1:], group.size)
+    bar = np.repeat(top - tol[group[heads]], ends - heads)
     near = np.flatnonzero(score > bar)
-    return near[np.diff(group[near], prepend=-1) != 0]
+    return near[_run_heads(group[near])]
 
 
 def _best_feature(score: np.ndarray, tol: np.ndarray):
@@ -261,6 +269,7 @@ class _LevelGrower:
     def __init__(self, ranks: ColumnRanks, y, subset_kind, cw, m, min_leaf):
         self.ranks = ranks
         self.d = ranks.rank.shape[1]
+        self.feature_keys = _splitmix64(np.arange(self.d, dtype=np.uint64))
         self.rank = ranks.rank.ravel()  # a view: the table is C-contiguous
         self.y = y
         self.subset_kind = subset_kind
@@ -319,12 +328,16 @@ class _LevelGrower:
             return empty, empty, np.empty(0), empty, empty, np.empty(0, dtype=bool)
         pairs = sizes[nodes] * self.m
         block = (np.cumsum(pairs) - pairs) // LEVEL_BLOCK_PAIRS
+        bounds = np.append(_run_heads(block), block.size).tolist()
         parts = []
-        for b in np.split(nodes, np.flatnonzero(np.diff(block)) + 1):
+        for i, j in zip(bounds, bounds[1:]):
+            b = nodes[i:j]
             split, *rest = self._search_block(
                 rows[_ranges(starts[b], sizes[b])], sizes[b], counts[b],
                 weights[b], keys[b])
             parts.append((b[split], *rest))
+        if len(parts) == 1:
+            return parts[0]
         return tuple(map(np.concatenate, zip(*parts)))
 
     def _scores(self, left, n_left, total, n):
@@ -398,7 +411,7 @@ class _LevelGrower:
         n_nodes = sizes.size
         W = weights.sum(axis=1)
         tol = SCORE_TIE_REL * W
-        feats = _sample_features(keys, self.d, m)
+        feats = _sample_features(keys, self.feature_keys, m)
         seg_feat = feats.ravel()
         seg_node = np.repeat(np.arange(n_nodes), m)
         seg_n = sizes[seg_node]
@@ -443,7 +456,8 @@ class _LevelGrower:
             masks, bits = _lex_masks(c)
             segs = np.flatnonzero(masked & (seg_c == c))
             step = max(1, MASK_BLOCK // masks.size)
-            for s in np.split(segs, np.arange(step, segs.size, step)):
+            for i in range(0, segs.size, step):
+                s = segs[i:i + step]
                 at = seg_c0[s, None] + np.arange(c)
                 C = cnt[:, at].astype(float)  # (K, segments, c)
                 N = cell_n[at].astype(float)

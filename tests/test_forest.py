@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,16 @@ from riskforest import (
     train_forest,
     train_tree,
 )
+from riskforest.cli import main as cli_main
 from riskforest.errors import CalibrationError, DataError, FingerprintMismatchError
 from riskforest.forest import (
+    WORKER_MIN_DRAWS,
     Forest,
     bootstrap_rows,
     count_policy_errors,
     derive_tree_seed,
+    tally_votes,
+    tree_workers,
 )
 from riskforest.tree import read_trees
 
@@ -91,6 +97,168 @@ def test_train_forest_calls_train_tree_once_per_tree(small_data, monkeypatch):
         end = table.roots[t + 1] if t + 1 < table.n_trees else len(table.left)
         assert nodes == end - table.roots[t]
         assert tree_lines(root) == tree_lines(forest_trees(forest)[t])
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# 7 trees of 4,096 draws: up to three tree workers.
+BIG = ForestConfig(n_trees=7, master_seed=8, max_depth=6, bootstrap_size=4096)
+# 6 trees of the 400 training rows: one process.
+SMALL = ForestConfig(n_trees=6, master_seed=8, max_depth=6)
+
+
+def test_tree_workers_follow_cpus_trees_and_draws(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert tree_workers(10, 3000) == 2  # the benchmark's train verb
+    assert tree_workers(5, 3000) == 1  # 15,000 draws
+    assert tree_workers(3, 1500) == 1
+    assert tree_workers(1, 10 * WORKER_MIN_DRAWS) == 1  # one tree
+    _cpus(monkeypatch, 8)
+    assert tree_workers(100, 3000) == 8
+    assert tree_workers(3, 10 * WORKER_MIN_DRAWS) == 3
+    assert tree_workers(100, 3 * WORKER_MIN_DRAWS // 100) == 2
+    monkeypatch.delattr(os, "fork")
+    assert tree_workers(100, 3000) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_any_worker_count_gives_the_same_forest(small_data, tmp_path,
+                                                monkeypatch, cpus):
+    _cpus(monkeypatch, 1)
+    alone = train_forest(small_data, BIG)
+    _cpus(monkeypatch, cpus)
+    assert tree_workers(BIG.n_trees, BIG.bootstrap_size) == cpus
+    forked = train_forest(small_data, BIG)
+    save_forest(alone, tmp_path / "alone.forest")
+    save_forest(forked, tmp_path / "forked.forest")
+    assert (tmp_path / "alone.forest").read_bytes() == \
+        (tmp_path / "forked.forest").read_bytes()
+    for a, b in zip(oob_predict(alone, small_data), oob_predict(forked, small_data)):
+        assert np.array_equal(a, b)
+
+
+def test_forest_below_the_threshold_never_forks(small_data, monkeypatch):
+    def no_fork():
+        pytest.fail("forked below WORKER_MIN_DRAWS")
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert train_forest(small_data, SMALL).table.n_trees == SMALL.n_trees
+
+
+def test_with_two_workers_this_process_grows_the_even_trees(small_data,
+                                                            monkeypatch):
+    import riskforest.forest as forest_module
+
+    seeds, roots = [], []
+
+    def recorded(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        roots.append(train_tree(*args, **kwargs))
+        return roots[-1]
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(forest_module, "train_tree", recorded)
+    forest = train_forest(small_data, BIG)
+    share = range(0, BIG.n_trees, 2)
+    assert seeds == [derive_tree_seed(BIG.master_seed, t) for t in share]
+    table = forest.table
+    ends = np.append(table.roots[1:], len(table.right))
+    for t, root in zip(share, roots):
+        nodes, stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            stack += [c for c in (node.left, node.right) if c is not None]
+        assert nodes == ends[t] - table.roots[t]
+        assert tree_lines(root) == tree_lines(forest_trees(forest)[t])
+
+
+def _in_children(monkeypatch, act):
+    """Patch train_tree to run ``act`` in forked workers only."""
+    import riskforest.forest as forest_module
+
+    parent = os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return train_tree(*args, **kwargs)
+
+    monkeypatch.setattr(forest_module, "train_tree", patched)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_that_exits_without_a_result_raises_oserror(small_data, tmp_path,
+                                                           monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    _in_children(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(OSError, match=r"tree worker 1 .*exit status 3"):
+        train_forest(small_data, BIG)
+    _no_child_left()
+
+    gen = tmp_path / "gen"
+    assert cli_main(["generate", "--n", "300", "--seed", "3",
+                     "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert cli_main(["train", "--data", str(gen / "synthetic.csv"),
+                     "--trees", "6", "--bootstrap-size", "4096",
+                     "--max-depth", "4", "--seed", "3",
+                     "--out", str(tmp_path / "tr")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tree worker 1 ") and "exit status 3" in err
+    assert "Traceback" not in err
+    _no_child_left()
+
+
+def test_worker_exception_is_raised_again_here(small_data, monkeypatch):
+    def fail():
+        raise DataError("bad row in a worker", row=4)
+
+    _cpus(monkeypatch, 3)
+    _in_children(monkeypatch, fail)
+    with pytest.raises(DataError, match="bad row in a worker") as err:
+        train_forest(small_data, BIG)
+    assert err.value.row == 4
+    _no_child_left()
+
+
+def test_failure_in_this_process_share_reaps_every_worker(small_data,
+                                                          monkeypatch):
+    import riskforest.forest as forest_module
+
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() == parent:
+            raise DataError("the parent's share fails")
+        return train_tree(*args, **kwargs)
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(forest_module, "train_tree", failing)
+    with pytest.raises(DataError, match="the parent's share fails"):
+        train_forest(small_data, BIG)
+    _no_child_left()
+
+
+def test_tally_votes_in_blocks_equals_one_bincount(monkeypatch):
+    import riskforest.forest as forest_module
+
+    rng = np.random.default_rng(3)
+    votes = rng.integers(0, 4, size=(7, 50))
+    kept = votes.copy()
+    whole = np.bincount((votes + 4 * np.arange(50)).ravel(),
+                        minlength=200).reshape(50, 4)
+    for pairs in (1, 7, 20, 1 << 16):
+        monkeypatch.setattr(forest_module, "TALLY_BLOCK_PAIRS", pairs)
+        assert np.array_equal(tally_votes(votes, 4), whole)
+    assert np.array_equal(votes, kept)
 
 
 def _hand_forest(vote_labels, schema):

@@ -9,6 +9,7 @@ is written under ``perfbench/``.
 
 import importlib.util
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -93,3 +94,31 @@ def test_tree_shape_walks_a_trained_tree_to_its_table_counts(tracing):
                                         "depth": root.table.depth}
     assert np.array_equal(root.table.left[~root.table.is_leaf],
                           np.flatnonzero(~root.table.is_leaf) + 1)
+
+
+def test_traced_train_with_tree_workers_keeps_every_tree_metric(
+        tracing, tmp_path, monkeypatch):
+    # The traced train run that ends a perfbench pass: with two tree
+    # workers, the tree.* metrics describe this process's share of trees.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    gen, tr = tmp_path / "gen", tmp_path / "tr"
+    assert cli.main(["generate", "--n", "300", "--seed", "4",
+                     "--out", str(gen)]) == 0
+    n_trees, draws = 7, 4096
+    assert forest_api.tree_workers(n_trees, draws) == 2
+    tracer = tracing.Tracer("seams")
+    undo = tracer.install(tracing.VERB_TARGETS)
+    try:
+        assert cli.main(["train", "--data", str(gen / "synthetic.csv"),
+                         "--trees", str(n_trees), "--bootstrap-size", str(draws),
+                         "--max-depth", "6", "--seed", "4",
+                         "--out", str(tr)]) == 0
+    finally:
+        tracer.restore(undo)
+    tracer.finish()
+    assert tracer.absent == []
+    metrics = tracing.layer_metrics(tracer.spans, tracer.wrapped)
+    for name in ("tree.train_tree_s", "tree.train_tree_calls", "tree.nodes_mean",
+                 "tree.depth_max", "forest.train_self_s"):
+        assert math.isfinite(metrics[name]), name
+    assert metrics["tree.train_tree_calls"] == len(range(0, n_trees, 2))
