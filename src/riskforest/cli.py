@@ -435,6 +435,9 @@ def cmd_audit(args) -> int:
 
 def cmd_baseline(args) -> int:
     out = Path(args.out)
+    if args.marginals and args.data:
+        raise UsageError(f"give --marginals{_source(args.marginals)} or"
+                         f" --data{_source(args.data)}, not both")
     if args.marginals:
         marginals = _parse_floats(args.marginals)
         source = "flag"

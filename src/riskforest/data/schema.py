@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from ..errors import SchemaError
+import numpy as np
+
+from ..errors import DataError, SchemaError
 
 KINDS = ("numeric", "count", "years-since", "categorical", "binary")
 NUMERIC_KINDS = frozenset({"numeric", "count", "years-since"})
@@ -135,12 +137,6 @@ class FeatureSchema:
         except ValueError:
             raise SchemaError(f"no feature named {name!r}") from None
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.label_set.index(label)
-        except ValueError:
-            raise SchemaError(f"no label named {label!r}") from None
-
     def with_group(self, name: str) -> "FeatureSchema":
         return replace(self, group_attribute=name)
 
@@ -166,7 +162,7 @@ class FeatureSchema:
             if spec.kind in ("categorical", "binary"):
                 parts.append(", ".join(spec.categories))
             elif spec.kind == "years-since":
-                tokens = [f"sentinel={_fmt_code(spec.sentinel.code)}"]
+                tokens = [f"sentinel={number_text(spec.sentinel.code)}"]
                 if spec.sentinel.null_allowed:
                     tokens.append("null")
                 parts.append(" ".join(tokens))
@@ -197,10 +193,6 @@ class FeatureSchema:
             raise SchemaError("schema text has no labels: line")
         return cls(specs=tuple(specs), label_set=labels, group_attribute=group)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def load(cls, path) -> "FeatureSchema":
         try:
@@ -211,8 +203,24 @@ class FeatureSchema:
         return cls.from_text(text)
 
 
-def _fmt_code(code: float) -> str:
-    return str(int(code)) if float(code).is_integer() else repr(float(code))
+def number_text(value: float) -> str:
+    """``str(int(value))`` for an integral value, else the float's ``repr``."""
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def check_marginals(marginals, n_labels: int | None = None) -> np.ndarray:
+    """Label shares as a float array: numbers >= 0 summing to 1, and
+    ``n_labels`` of them when that is given."""
+    m = np.asarray(marginals, dtype=float)
+    if n_labels is not None and m.shape != (n_labels,):
+        raise DataError(f"need {n_labels} marginals,"
+                        f" got {m.size if m.ndim == 1 else m.shape}")
+    # Written so that NaN fails both checks.
+    if not (m >= 0).all():
+        raise DataError(f"marginals must be nonnegative numbers, got {m.tolist()}")
+    if not abs(m.sum() - 1.0) <= 1e-9:
+        raise DataError(f"marginals sum to {float(m.sum())!r}, not 1")
+    return m
 
 
 def _parse_feature_line(rest: str, lineno: int) -> FeatureSpec:
@@ -291,8 +299,9 @@ def encode_cell(spec: FeatureSpec, cell: str) -> float:
 
 def decode_column(spec: FeatureSpec, values) -> list[str]:
     """The CSV text of every value of a 1-d float array of one column: the
-    category name, ``str(int(v))`` for an integral value, or the float's
-    ``repr``. encode_cell reads each back to the same value."""
+    category name, or ``number_text``'s rule, written out inline because
+    this is write_csv's inner loop. encode_cell reads each back to the same
+    value."""
     floats = values.tolist()
     if spec.kind in SUBSET_KINDS:
         return list(map(spec.categories.__getitem__, map(int, floats)))

@@ -18,24 +18,11 @@ import numpy as np
 
 from ..errors import DataError, SchemaError
 from .dataset import MAX_ROWS, Dataset
-from .schema import FeatureSchema, hart_schema
+from .schema import FeatureSchema, check_marginals, hart_schema
 
 #: Label marginals of the bundled validation-scale fixture
 #: (High, Moderate, Low shares of the 14,882-event test year).
 VALIDATION_MARGINALS = (0.1186, 0.4835, 0.3979)
-
-
-def check_marginals(marginals, n_labels: int) -> np.ndarray:
-    m = np.asarray(marginals, dtype=float)
-    if m.shape != (n_labels,):
-        raise DataError(f"need {n_labels} marginals,"
-                        f" got {m.size if m.ndim == 1 else m.shape}")
-    # Written so that NaN fails both checks.
-    if not (m >= 0).all():
-        raise DataError(f"marginals must be nonnegative numbers, got {m.tolist()}")
-    if not abs(m.sum() - 1.0) <= 1e-9:
-        raise DataError(f"marginals sum to {float(m.sum())!r}, not 1")
-    return m
 
 
 def _check_draw(n: int, signal_strength: float) -> None:

@@ -249,9 +249,9 @@ def default_threshold_grid(scores) -> np.ndarray:
     return np.append(s, s[-1] + 1.0)
 
 
-def impossibility_search(g: GroupedOutcomes, epsilon: float,
-                         threshold_grid: dict | None = None) -> ImpossibilityReport:
-    """Scan every per-group threshold pair for joint criterion feasibility.
+def impossibility_search(g: GroupedOutcomes, epsilon: float) -> ImpossibilityReport:
+    """Scan every pair of per-group thresholds, each group's
+    ``default_threshold_grid``, for joint criterion feasibility.
 
     Considers calibration (precision), FPR balance, and FNR balance. The
     scan itself is the evidence: either some pair satisfies all three
@@ -269,9 +269,7 @@ def impossibility_search(g: GroupedOutcomes, epsilon: float,
         if out.scores is None:
             raise DataError(f"group {name!r} carries no scores")
         act_pos = out.actuals == g.positive_label
-        grid = (np.asarray(threshold_grid[name], dtype=float)
-                if threshold_grid else default_threshold_grid(out.scores))
-        prepared[name] = (out.scores, act_pos, grid)
+        prepared[name] = (out.scores, act_pos, default_threshold_grid(out.scores))
         base_rates[name] = float(act_pos.mean())
 
     warnings = []

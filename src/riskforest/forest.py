@@ -35,7 +35,7 @@ from .errors import CalibrationError, DataError, FingerprintMismatchError
 from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
-FOREST_FORMAT_LINE = "riskforest-forest v2"
+FOREST_FORMAT_LINE = "riskforest-forest v3"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -66,7 +66,6 @@ class ForestConfig:
     max_depth: int = 16
     master_seed: int = 0
     bootstrap_size: int | None = None  # training-set size when None
-    identity_bootstrap: bool = False  # test hook: in-bag = every row once
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -122,19 +121,20 @@ class Forest:
         return len(self.labels)
 
 
+def _tree_streams(master_seed: int, index: int):
+    """The (bootstrap, tree) seed sequences of tree ``index``."""
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)).spawn(2)
+
+
 def derive_tree_seed(master_seed: int, index: int) -> int:
     """The integer seed tree ``index`` trains with. Exposed for tests."""
-    _, tree_ss = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(index,)).spawn(2)
+    _, tree_ss = _tree_streams(master_seed, index)
     return int(tree_ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def bootstrap_rows(cfg: ForestConfig, index: int, n: int) -> np.ndarray:
     """Sorted in-bag row multiset of tree ``index`` for ``n`` training rows."""
-    if cfg.identity_bootstrap:
-        return np.arange(n, dtype=np.int64)
-    boot_ss, _ = np.random.SeedSequence(
-        entropy=cfg.master_seed, spawn_key=(index,)).spawn(2)
+    boot_ss, _ = _tree_streams(cfg.master_seed, index)
     draws = np.random.default_rng(boot_ss).integers(0, n, size=cfg.bootstrap_size)
     return np.sort(draws)  # canonical multiset representation
 
@@ -370,11 +370,11 @@ class CalibrationResult:
     target_ratio: float
 
 
-def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: float,
-                         grid=COST_GRID, eval_fraction: float = 0.5) -> CalibrationResult:
+def calibrate_cost_ratio(data: Dataset, config: ForestConfig,
+                         target_ratio: float) -> CalibrationResult:
     """Sweep high-risk weight multipliers toward a cautious:dangerous target.
 
-    Each grid point trains on one half of ``data`` (split seeded from the
+    Each COST_GRID point trains on one half of ``data`` (split seeded from the
     config's master seed) and counts policy errors on the other half. The
     returned weights realize the ratio nearest ``target_ratio``. Raises
     CalibrationError, carrying the sweep, when no grid point produces
@@ -383,9 +383,9 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig, target_ratio: floa
     if target_ratio <= 0:
         raise DataError("target_ratio must be positive")
     cfg = config.resolved(data)
-    train_part, eval_part = split_holdout(data, eval_fraction, cfg.master_seed)
+    train_part, eval_part = split_holdout(data, 0.5, cfg.master_seed)
     points = []
-    for mult in grid:
+    for mult in COST_GRID:
         weights = list(cfg.class_weights)
         weights[0] *= mult
         forest = train_forest(train_part,
@@ -424,7 +424,7 @@ def save_forest(forest: Forest, path) -> None:
         value = getattr(forest.config if key in _CONFIG_KEYS else forest, key)
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
-        lines.append(f"{key} {int(value) if isinstance(value, bool) else value}")
+        lines.append(f"{key} {value}")
     lines += write_trees(forest.table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -442,12 +442,6 @@ def _natural(text: str) -> int:
     if value < 0:
         raise ValueError(text)
     return value
-
-
-def _bit(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(text)
-    return text == "1"
 
 
 def _labels(text: str) -> tuple[str, ...]:
@@ -478,7 +472,6 @@ _HEADER = {
     "max_depth": _positive_int,
     "master_seed": _natural,
     "bootstrap_size": lambda text: _positive_int(text, MAX_ROWS),
-    "identity_bootstrap": _bit,
     "n_train": _positive_int,
     "data_digest": _hex16,
 }
@@ -503,8 +496,7 @@ def load_forest(path, schema=None) -> Forest:
     if not lines or lines[0] != FOREST_FORMAT_LINE:
         if lines and lines[0].startswith("riskforest-forest "):
             raise fail(1, f"{lines[0]!r} cannot be read: this version reads"
-                          f" {FOREST_FORMAT_LINE!r} only (v1 stored in-bag"
-                          " lists; retrain the model to write v2)")
+                          f" {FOREST_FORMAT_LINE!r} only; retrain the model")
         raise fail(1, f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
     values, at = {}, {}  # each header key's value and line number
     pos = 1

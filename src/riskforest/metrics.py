@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data.schema import check_marginals, number_text
 from .errors import DataError
 
 ROW_HEADER = "Forecast/Actual"
@@ -65,7 +66,7 @@ class ConfusionMatrix:
             writer = csv.writer(fh)
             writer.writerow([ROW_HEADER, *self.labels])
             for i, name in enumerate(self.labels):
-                writer.writerow([name] + [_fmt(v) for v in self.cells[i]])
+                writer.writerow([name] + [number_text(v) for v in self.cells[i]])
 
     @classmethod
     def from_csv(cls, path) -> "ConfusionMatrix":
@@ -86,10 +87,6 @@ class ConfusionMatrix:
             except ValueError as exc:
                 raise DataError(f"{path}: row {labels[i]}: {exc}") from None
         return cls(labels=labels, cells=cells)
-
-
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def confusion_from_predictions(pred, actual, labels) -> ConfusionMatrix:
@@ -240,12 +237,7 @@ def derive_metrics(cm: ConfusionMatrix, high_label: str | None = None,
 
 def random_baseline(marginals) -> float:
     """Accuracy of guessing labels from the class marginals: sum of p_i^2."""
-    m = np.asarray(marginals, dtype=float)
-    # Written so that NaN fails both checks.
-    if not (m >= 0).all():
-        raise DataError(f"marginals must be nonnegative numbers, got {m.tolist()}")
-    if not abs(m.sum() - 1.0) <= 1e-9:
-        raise DataError(f"marginals sum to {float(m.sum())!r}, not 1")
+    m = check_marginals(marginals)
     return float(m @ m)
 
 

@@ -28,8 +28,3 @@ PUBLISHED = {
         "very_cautious": 0.1206,
     },
 }
-
-#: Label marginals quoted alongside the validation fixture, and the
-#: accuracy a guesser drawing from them achieves.
-VALIDATION_BASELINE = 0.406
-VALIDATION_BASELINE_TOLERANCE = 0.0005

@@ -221,6 +221,22 @@ def test_baseline_command(tmp_path):
     assert payload["result"]["accuracy"] == pytest.approx(0.406, abs=0.0005)
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("--data", "/nonexistent.csv"), None, "give --marginals or --data, not both"),
+    ((), "/nonexistent.csv",
+     "give --marginals or --data from RISKFOREST_DATA, not both")])
+def test_baseline_refuses_marginals_with_data(tmp_path, monkeypatch, capsys,
+                                              argv, env, message):
+    monkeypatch.delenv("RISKFOREST_MARGINALS", raising=False)
+    monkeypatch.delenv("RISKFOREST_DATA", raising=False)
+    if env is not None:
+        monkeypatch.setenv("RISKFOREST_DATA", env)
+    out = tmp_path / "ba"
+    assert run("baseline", "--marginals", "0.5,0.5", *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_k_anon_command(tmp_path, pipeline_dirs):
     gen, _ = pipeline_dirs
     out = tmp_path / "ka"

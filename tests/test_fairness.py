@@ -204,17 +204,18 @@ def test_identical_groups_jointly_feasible_at_zero():
 
 
 def test_all_negative_thresholds_do_not_count_as_feasible():
-    # calibration undefined when nobody is predicted positive
+    # Calibration is undefined when nobody is predicted positive. Within
+    # epsilon on both error rates are only the all-negative pair (the
+    # sentinels) and the all-positive pair, whose calibration gap is the
+    # base-rate gap, 0.25.
     g = GroupedOutcomes.from_scores({
-        "A": (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0, 0, 1, 1])),
-        "B": (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0, 1, 1, 1])),
+        "A": (np.array([0.1, 0.2, 0.3, 0.4]), np.array([1, 0, 1, 0])),
+        "B": (np.array([0.1, 0.2, 0.3, 0.4]), np.array([1, 1, 1, 0])),
     }, 1)
-    grid = {"A": np.array([9.0]), "B": np.array([9.0])}  # above every score
-    report = impossibility_search(g, epsilon=0.5, threshold_grid=grid)
+    report = impossibility_search(g, epsilon=0.1)
     assert not report.jointly_feasible
     assert report.best_gaps["false_positive_rate"] == 0.0
     assert report.best_gaps["false_negative_rate"] == 0.0
-    assert report.best_gaps["calibration"] is None
 
 
 def test_feasibility_monotone_in_epsilon():

@@ -40,17 +40,17 @@ def small_data():
     return generate_synthetic(hart_schema(), 400, VALIDATION_MARGINALS, 0.8, 77)
 
 
-def test_ensemble_of_one_identity_bootstrap_acts_like_single_tree(small_data):
-    cfg = ForestConfig(n_trees=1, master_seed=123, identity_bootstrap=True,
-                       min_leaf=2, max_depth=6)
+def test_ensemble_of_one_acts_like_single_tree_on_its_bootstrap(small_data):
+    # A one-tree forest is the tree its seed and drawn bootstrap grow.
+    cfg = ForestConfig(n_trees=1, master_seed=123, min_leaf=2, max_depth=6)
     forest = train_forest(small_data, cfg)
+    rows = bootstrap_rows(forest.config, 0, len(small_data))
     lone = train_tree(small_data, (1.0, 1.0, 1.0),
                       feature_subset_size=forest.config.feature_subset_size,
                       min_leaf=2, max_depth=6,
-                      seed=derive_tree_seed(123, 0))
+                      seed=derive_tree_seed(123, 0), row_indices=rows)
     assert tree_lines(forest_trees(forest)[0]) == tree_lines(lone)
-    assert np.array_equal(bootstrap_rows(forest.config, 0, forest.n_train),
-                          np.arange(len(small_data)))
+    assert len(np.unique(rows)) < len(small_data)  # a real with-replacement draw
 
 
 def test_training_is_repeatable(small_data, tmp_path):

@@ -1,4 +1,4 @@
-"""The flat node table, model format v2 and the checks that ride on them."""
+"""The flat node table, model format v3 and the checks that ride on them."""
 
 import numpy as np
 import pytest
@@ -311,11 +311,12 @@ def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):
 
 
 def test_v1_model_file_is_rejected_naming_both_formats(tmp_path, model_lines):
-    lines = ["riskforest-forest v1"] + list(model_lines[1:])
-    with pytest.raises(DataError) as err:
-        _load_lines(tmp_path, lines)
-    assert "riskforest-forest v1" in str(err.value)
-    assert "riskforest-forest v2" in str(err.value)
+    for old in ("riskforest-forest v1", "riskforest-forest v2"):
+        lines = [old] + list(model_lines[1:])
+        with pytest.raises(DataError, match="line 1: ") as err:
+            _load_lines(tmp_path, lines)
+        assert old in str(err.value)
+        assert "reads 'riskforest-forest v3' only; retrain" in str(err.value)
 
 
 def _splice(lines, at, stop, new=()):
@@ -336,13 +337,17 @@ def _replace(lines, prefix, *new):
 _LOAD_FAULTS = {
     "not a forest document": (
         lambda m: _replace(m, "riskforest-forest", "riskforest model"),
-        "not a forest document (expected 'riskforest-forest v2')"),
+        "not a forest document (expected 'riskforest-forest v3')"),
     "unknown header key": (
         lambda m: _replace(m, "min_leaf ", "colour blue"),
         "unexpected header line 'colour blue'"),
     "repeated header key": (
         lambda m: _replace(m, "tree 0", "min_leaf 7", "tree 0"),
         "unexpected header line 'min_leaf 7'"),
+    "format v2's identity_bootstrap line": (
+        lambda m: _replace(m, "n_train ", "identity_bootstrap 0",
+                           m[_first(m, "n_train ")]),
+        "unexpected header line 'identity_bootstrap 0'"),
     "missing header key": (
         lambda m: _replace(m, "data_digest "),
         "forest header missing data_digest"),
