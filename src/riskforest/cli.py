@@ -33,6 +33,7 @@ from .errors import (
     DataError,
     FingerprintMismatchError,
     SchemaError,
+    SchemaMismatchError,
     UsageError,
 )
 
@@ -591,8 +592,19 @@ def main(argv=None) -> int:
         return 2
     except (DataError, SchemaError, FingerprintMismatchError, CalibrationError,
             OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_group_hint(args, exc)}", file=sys.stderr)
         return 1
+
+
+def _group_hint(args, exc) -> str:
+    """A hint when a CSV's one unexpected column may be the group column
+    that the verb, run without --group, did not expect."""
+    if (not isinstance(exc, SchemaMismatchError) or exc.missing
+            or len(exc.extra) != 1 or args.group):
+        return ""
+    name = exc.extra[0]
+    return (f"; if {name} is the group column, pass --group {name}"
+            f" (or set {ENV_PREFIX}GROUP)")
 
 
 def entrypoint() -> None:

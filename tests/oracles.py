@@ -223,6 +223,33 @@ def tree_depth(node):
                                           tree_depth(node.right))
 
 
+# -- the full-depth gather ----------------------------------------------------
+
+
+def leaves_oracle(table, X, roots=None):
+    """``NodeTable.leaves`` as it was before it stopped early: every pair
+    runs the table's full depth, each level casts its values to category
+    codes itself and picks ``left`` or ``right``. One block holds every
+    (root, row) pair, row-major within each root."""
+    roots = table.roots if roots is None else np.asarray(roots, dtype=np.intp)
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    block = np.ascontiguousarray(X).ravel()
+    offsets = np.tile(np.arange(0, n * d, d), len(roots))
+    nodes = np.repeat(roots, n)
+    with np.errstate(invalid="ignore"):
+        for _ in range(table.depth):
+            v = block[offsets + table.feature[nodes]]
+            go_left = v <= table.threshold[nodes]
+            code = v.astype(np.intp)
+            np.maximum(code, -1, out=code)
+            np.minimum(code, table.width[nodes], out=code)
+            code += table.start[nodes]
+            go_left |= table.members[code]
+            nodes = np.where(go_left, table.left[nodes], table.right[nodes])
+    return nodes.reshape(len(roots), n)
+
+
 # -- one tree of a node table ------------------------------------------------
 
 

@@ -510,3 +510,64 @@ def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
     assert "Traceback" not in err and "np.float64" not in err
     for report in out.rglob("*.json"):
         json.loads(report.read_text(), parse_constant=_refuse_constant)
+
+
+# -- a grouped CSV read without --group -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def grouped_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grouped")
+    gen, tr = root / "gen", root / "tr"
+    assert run("generate", "--n", "120", "--seed", "3", "--two-group",
+               "--out", str(gen)) == 0
+    assert run("train", "--data", str(gen / "synthetic.csv"), "--group", "Group",
+               "--trees", "3", "--seed", "3", "--out", str(tr)) == 0
+    return gen / "synthetic.csv", tr / "model.forest"
+
+
+def _grouped_argv(verb, data, model):
+    return {"baseline": ["baseline", "--data", data],
+            "predict": ["predict", "--model", model, "--data", data],
+            "k-anon": ["k-anon", "--data", data, "--quasi", "Gender"]}[verb]
+
+
+@pytest.mark.parametrize("verb", ["baseline", "predict", "k-anon"])
+def test_grouped_csv_without_group_hints_at_the_flag(tmp_path, capsys,
+                                                     monkeypatch, grouped_dirs,
+                                                     verb):
+    monkeypatch.delenv("RISKFOREST_GROUP", raising=False)
+    data, model = map(str, grouped_dirs)
+    out = tmp_path / "o"
+    assert run(*_grouped_argv(verb, data, model), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: columns do not match schema (missing: none; extra:"
+        " Group); if Group is the group column, pass --group Group (or set"
+        " RISKFOREST_GROUP)\n")
+    assert not out.exists()
+    assert run(*_grouped_argv(verb, data, model), "--group", "Group",
+               "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("verb", ["baseline", "predict", "k-anon"])
+def test_no_group_hint_once_a_group_is_given(tmp_path, capsys, monkeypatch,
+                                             grouped_dirs, verb):
+    # A group column that is not in the file: the hint would not help.
+    data, model = map(str, grouped_dirs)
+    monkeypatch.setenv("RISKFOREST_GROUP", "Zone")
+    assert run(*_grouped_argv(verb, data, model), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: columns do not match schema (missing: none; extra:"
+        " Group)\n")
+
+
+def test_no_group_hint_beside_a_missing_column(tmp_path, capsys, monkeypatch,
+                                               grouped_dirs):
+    monkeypatch.delenv("RISKFOREST_GROUP", raising=False)
+    header, *rows = grouped_dirs[0].read_text().splitlines()
+    data = tmp_path / "renamed.csv"
+    data.write_text("\n".join([header.replace("Gender", "Sex"), *rows]) + "\n")
+    assert run("baseline", "--data", str(data), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: columns do not match schema (missing: Gender; extra:"
+        " Sex, Group)\n")

@@ -305,6 +305,22 @@ def test_vote_tallies_sum_to_tree_count(small_data):
     assert (tally[np.arange(len(pred)), pred] == tally.max(axis=1)).all()
 
 
+@pytest.mark.parametrize("n_trees", [1, 5, 31])
+def test_single_row_predictions_equal_the_batch_ones(small_data, n_trees):
+    # The benchmark's single-row check: each row scored alone gets the
+    # label and tally that predict_dataset gives it, training rows and
+    # unseen ones alike.
+    forest = train_forest(small_data, ForestConfig(n_trees=n_trees,
+                                                   master_seed=n_trees))
+    unseen = generate_synthetic(hart_schema(), 200, VALIDATION_MARGINALS, 0.8, 78)
+    for data in (small_data, unseen):
+        pred, tally = predict_dataset(forest, data)
+        for row, k, counts in zip(data.X, pred.tolist(), tally.tolist()):
+            label, votes = predict_forest(forest, row)
+            assert label == forest.labels[k]
+            assert list(votes.values()) == counts
+
+
 def test_fingerprint_mismatch_rejected(small_data):
     cfg = ForestConfig(n_trees=3, master_seed=2, max_depth=4)
     forest = train_forest(small_data, cfg)

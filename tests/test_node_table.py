@@ -21,9 +21,11 @@ from riskforest import (
     split_holdout,
     train_forest,
 )
+import riskforest.tree as tree_module
 from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_votes
-from oracles import (forest_trees, oob_oracle, oracle_tree_predict,
+from riskforest.tree import BLOCK_PAIRS, TreeNode, predict_tree, read_trees
+from oracles import (forest_trees, leaves_oracle, oob_oracle, oracle_tree_predict,
                      replay_tree_predict, tree_apply, tree_depth, tree_from_lines,
                      tree_from_lines_oracle)
 
@@ -214,6 +216,70 @@ def test_oob_predict_equals_the_plain_loop_oracle(tri_schema, seed, n_trees,
     want_labels, want_counts = oob_oracle(forest, data)
     assert (counts == want_counts).all()
     assert (labels == want_labels).all()
+
+
+# -- the gather against its full-depth oracle ------------------------------
+
+# NaN, values beyond the integer range, negative and non-integral values,
+# and codes beyond every subset's width.
+_ODD_VALUES = [-1e30, 1e30, float("nan"), -7.0, -1.0, -0.5, 0.0, 0.5, 2.5,
+               4.0, 5.0, 9.0, 100.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 9),
+       min_leaf=st.integers(1, 4), max_depth=st.integers(1, 10),
+       block=st.sampled_from([1, 5, 64, BLOCK_PAIRS]),
+       odd=st.lists(st.lists(st.sampled_from(_ODD_VALUES), min_size=5,
+                             max_size=5), max_size=12),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+def test_leaves_equal_the_full_depth_oracle(tri_schema, seed, n_trees, min_leaf,
+                                            max_depth, block, odd, picks):
+    data = _tri_data(tri_schema, seed, n=120)
+    table = train_forest(data, ForestConfig(
+        n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
+        feature_subset_size=3, master_seed=seed)).table
+    X = np.vstack([data.X, np.reshape(odd, (-1, 5))])
+    # Any nodes may start a descent: predict_tree starts at a view's node.
+    starts = np.array([p % len(table.right) for p in picks])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "BLOCK_PAIRS", block)
+        assert (table.leaves(X) == leaves_oracle(table, X)).all()
+        assert (table.leaves(X, starts) == leaves_oracle(table, X, starts)).all()
+    view = TreeNode(table, int(starts[0]))
+    for row in X:
+        one = row.reshape(1, -1)
+        assert (table.leaves(one) == leaves_oracle(table, one)).all()
+        leaf = leaves_oracle(table, one, starts[:1]).item()
+        w = table.weights[leaf]
+        assert (predict_tree(view, row) == w / w.sum()).all()
+
+
+def test_a_stump_beside_a_deep_tree_keeps_each_row_at_its_leaves():
+    # Tree 0 is a stump. Tree 1 is a depth-8 chain: the split at level k
+    # (numeric on feature 0 at even k, a subset of feature 1 at odd k) sends
+    # a row left to a leaf, so single rows reach their last leaf at any
+    # level from 1 to 8, and the stump's pair waits at its leaf meanwhile.
+    chain = []
+    for k, subset in zip(range(8), ["0.5", "1,3", "2.5", "0", "4.5", "2,6",
+                                    "6.5", "4"]):
+        chain += [f"split 0 <= {subset}" if k % 2 == 0 else f"split 1 in {subset}",
+                  f"leaf {k + 1}.0,1.0,0.0"]
+    chain.append("leaf 0.0,0.0,1.0")
+    table = read_trees(["tree 0", "split 0 <= 3.5", "leaf 1.0,0.0,0.0",
+                        "leaf 0.0,1.0,0.0", "tree 1", *chain, "end"], 0, 3, 2)
+    assert table.depth == 8
+    values = [-1e30, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
+              7.0, 9.0, 1e30, float("nan")]
+    X = np.array([(a, b) for a in values for b in values])
+    for roots in (None, table.roots[:1], table.roots[1:], table.roots[::-1]):
+        assert (table.leaves(X, roots) == leaves_oracle(table, X, roots)).all()
+        for row in X:
+            one = row.reshape(1, -1)
+            assert (table.leaves(one, roots)
+                    == leaves_oracle(table, one, roots)).all()
+    chain_leaves = np.flatnonzero(table.is_leaf[table.roots[1]:])
+    assert (np.unique(table.leaves(X)[1]) == table.roots[1] + chain_leaves).all()
 
 
 # -- refusing data the model was not made for -----------------------------

@@ -86,6 +86,25 @@ def test_traced_train_and_predict_give_every_forest_and_tree_metric(
     assert math.isfinite(metrics["forest.votes_s"])
 
 
+def test_one_row_records_one_span_of_each_row_target(tracing):
+    # predict_forest reaches the gather and the tally through the
+    # riskforest.forest namespace, once each, inside its own span.
+    data = generate_synthetic(hart_schema(), 200, VALIDATION_MARGINALS, 0.8, 5)
+    forest = forest_api.train_forest(data, forest_api.ForestConfig(
+        n_trees=5, master_seed=5))
+    tracer = tracing.Tracer("seams")
+    undo = tracer.install(tracing.ROW_TARGETS)
+    try:
+        forest_api.predict_forest(forest, data.X[0])
+    finally:
+        tracer.restore(undo)
+    assert tracer.absent == []
+    assert sorted(span["name"] for span in tracer.spans) == [
+        "forest.predict_row", "forest.tally", "forest.votes"]
+    row, = (s for s in tracer.spans if s["name"] == "forest.predict_row")
+    assert all(s["parent"] == row["id"] for s in tracer.spans if s is not row)
+
+
 def test_tree_shape_walks_a_trained_tree_to_its_table_counts(tracing):
     data = generate_synthetic(hart_schema(), 300, VALIDATION_MARGINALS, 0.8, 4)
     root = train_tree(data, (1.0, 1.0, 1.0), min_leaf=3, max_depth=9, seed=11)
