@@ -310,70 +310,18 @@ def decode_column(spec: FeatureSpec, values) -> list[str]:
 
 # -- the bundled 34-feature custody schema ----------------------------
 
-_POSTCODES = tuple(
-    f"DH{i}" for i in range(1, 10)
-) + tuple(f"DL{i}" for i in range(1, 9)) + tuple(f"SR{i}" for i in range(1, 8))
-
-_MOSAIC = tuple(f"M{i:02d}" for i in range(1, 29))
-
 
 def hart_schema(group_attribute: str | None = None) -> FeatureSchema:
-    """The bundled 34-feature custody schema with High/Moderate/Low labels.
+    """The bundled 34-feature custody schema with High/Moderate/Low labels,
+    read from the ``hart_schema`` fixture: editing that file changes every
+    model's fingerprint.
 
     Years-since columns use the literal 100 code for "no history" and
     accept blank cells as that code.
     """
-
-    def years(name):
-        return FeatureSpec(name, "years-since",
-                           sentinel=SentinelRule(code=100.0, null_allowed=True))
-
-    def count(name):
-        return FeatureSpec(name, "count")
-
-    def age(name):
-        return FeatureSpec(name, "numeric")
-
-    specs = (
-        age("CustodyAge"),
-        FeatureSpec("Gender", "binary", categories=("Male", "Female")),
-        count("InstantAnyOffenceCount"),
-        FeatureSpec("InstantViolenceOffenceBinary", "binary"),
-        FeatureSpec("InstantPropertyOffenceBinary", "binary"),
-        FeatureSpec("CustodyPostcodeOutwardTop24", "categorical",
-                    categories=_POSTCODES + (OTHER,)),
-        FeatureSpec("CustodyMosaicCodeTop28", "categorical",
-                    categories=_MOSAIC + (OTHER,)),
-        age("FirstAnyOffenceAge"),
-        age("FirstViolenceOffenceAge"),
-        age("FirstSexualOffenceAge"),
-        age("FirstWeaponOffenceAge"),
-        age("FirstDrugOffenceAge"),
-        age("FirstPropertyOffenceAge"),
-        count("PriorAnyOffenceCount"),
-        years("PriorAnyOffenceLatestYears"),
-        count("PriorMurderOffenceCount"),
-        count("PriorSeriousOffenceCount"),
-        years("PriorSeriousOffenceLatestYears"),
-        count("PriorViolenceOffenceCount"),
-        years("PriorViolenceOffenceLatestYears"),
-        count("PriorSexualOffenceCount"),
-        years("PriorSexualOffenceLatestYears"),
-        count("PriorSexRegOffenceCount"),
-        count("PriorWeaponOffenceCount"),
-        years("PriorWeaponOffenceLatestYears"),
-        count("PriorFirearmOffenceCount"),
-        count("PriorDurgOffenceCount"),
-        years("PriorDrugOffenceLatestYears"),
-        count("PriorDrugDistOffenceCount"),
-        count("PriorPropertyOffenceCount"),
-        years("PriorPropertyOffenceLatestYears"),
-        count("PriorCustodyCount"),
-        years("PriorCustodyLatestYears"),
-        count("PriorIntelCount"),
-    )
-    return FeatureSchema(specs=specs, label_set=("High", "Moderate", "Low"),
-                         group_attribute=group_attribute)
+    schema = FeatureSchema.from_text(
+        fixture_path("hart_schema").read_text(encoding="utf-8"))
+    return schema if group_attribute is None else schema.with_group(group_attribute)
 
 
 def fixture_path(name: str):

@@ -22,11 +22,12 @@ and error-rate balance cannot hold together when base rates differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .metrics import at_or_above, distinct_scores, finite_scores
 
 DEFAULT_EPSILON = 0.05
 
@@ -47,7 +48,7 @@ class GroupOutcome:
                 raise DataError("predictions and actuals differ in length")
             object.__setattr__(self, "predictions", p)
         if self.scores is not None:
-            s = np.asarray(self.scores, dtype=float)
+            s = finite_scores(self.scores)
             if s.shape != self.actuals.shape:
                 raise DataError("scores and actuals differ in length")
             object.__setattr__(self, "scores", s)
@@ -96,14 +97,12 @@ class FairnessVerdict:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "per_group": {str(g): stats for g, stats in self.per_group.items()},
-            "gap": self.gap,
-            "epsilon": self.epsilon,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "per_group": _str_keys(self.per_group)}
+
+
+def _str_keys(by_group: dict | None) -> dict | None:
+    """A group-keyed dict with its keys as JSON needs them."""
+    return None if by_group is None else {str(g): v for g, v in by_group.items()}
 
 
 def _max_pair_gap(values) -> float | None:
@@ -212,17 +211,8 @@ class ImpossibilityReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "criteria": list(self.criteria),
-            "best_gaps": dict(self.best_gaps),
-            "jointly_feasible": self.jointly_feasible,
-            "witness": None if self.witness is None
-            else {str(k): v for k, v in self.witness.items()},
-            "pairs_scanned": self.pairs_scanned,
-            "base_rates": {str(k): v for k, v in self.base_rates.items()},
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "witness": _str_keys(self.witness),
+                "base_rates": _str_keys(self.base_rates)}
 
 
 def _threshold_stats(scores: np.ndarray, act_pos: np.ndarray,
@@ -232,9 +222,7 @@ def _threshold_stats(scores: np.ndarray, act_pos: np.ndarray,
     neg = act_pos.size - pos
     if pos == 0 or neg == 0:
         raise DataError("each group needs both actual classes")
-    pred = scores[None, :] >= thresholds[:, None]
-    tp = (pred & act_pos[None, :]).sum(axis=1).astype(float)
-    fp = (pred & ~act_pos[None, :]).sum(axis=1).astype(float)
+    tp, fp = at_or_above(scores, act_pos, thresholds)
     npred = tp + fp
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(npred > 0, tp / npred, np.nan)
@@ -245,7 +233,7 @@ def _threshold_stats(scores: np.ndarray, act_pos: np.ndarray,
 
 def default_threshold_grid(scores) -> np.ndarray:
     """Every distinct score, plus a sentinel that predicts nobody positive."""
-    s = np.unique(np.asarray(scores, dtype=float))
+    s = distinct_scores(np.asarray(scores, dtype=float))
     return np.append(s, s[-1] + 1.0)
 
 
@@ -277,39 +265,29 @@ def impossibility_search(g: GroupedOutcomes, epsilon: float) -> ImpossibilityRep
         warnings.append(
             "groups have equal base rates; joint satisfaction is not obstructed")
 
-    stats = {name: _threshold_stats(*prepared[name]) for name in names}
-    pa, fa, na = stats[names[0]]
-    pb, fb, nb = stats[names[1]]
+    # The precision, fpr and fnr gap of every threshold pair; a precision
+    # gap is NaN where either precision is undefined, and then fails.
+    criteria = ("calibration", "false_positive_rate", "false_negative_rate")
+    stats = [_threshold_stats(*prepared[name]) for name in names]
+    gaps = [np.abs(a[:, None] - b[None, :]) for a, b in zip(*stats)]
+    cal_gap, fpr_gap, fnr_gap = gaps
+    joint = (cal_gap <= epsilon) & (fpr_gap <= epsilon) & (fnr_gap <= epsilon)
 
-    cal_gap = np.abs(pa[:, None] - pb[None, :])  # NaN where undefined
-    fpr_gap = np.abs(fa[:, None] - fb[None, :])
-    fnr_gap = np.abs(na[:, None] - nb[None, :])
+    def best(gap):
+        return float(np.nanmin(gap)) if not np.isnan(gap).all() else None
 
-    def best(gaps):
-        return float(np.nanmin(gaps)) if not np.isnan(gaps).all() else None
-
-    best_gaps = {
-        "calibration": best(cal_gap),
-        "false_positive_rate": best(fpr_gap),
-        "false_negative_rate": best(fnr_gap),
-    }
-    joint = (~np.isnan(cal_gap) & (cal_gap <= epsilon)
-             & (fpr_gap <= epsilon) & (fnr_gap <= epsilon))
     feasible = bool(joint.any())
     witness = None
     if feasible:
-        i, j = map(int, np.argwhere(joint)[0])
-        witness = {
-            names[0]: float(prepared[names[0]][2][i]),
-            names[1]: float(prepared[names[1]][2][j]),
-        }
+        witness = {name: float(prepared[name][2][k])
+                   for name, k in zip(names, np.argwhere(joint)[0])}
     return ImpossibilityReport(
         epsilon=epsilon,
-        criteria=("calibration", "false_positive_rate", "false_negative_rate"),
-        best_gaps=best_gaps,
+        criteria=criteria,
+        best_gaps={c: best(gap) for c, gap in zip(criteria, gaps)},
         jointly_feasible=feasible,
         witness=witness,
-        pairs_scanned=int(cal_gap.size),
+        pairs_scanned=int(joint.size),
         base_rates=base_rates,
         warnings=tuple(warnings),
     )

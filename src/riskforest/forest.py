@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data.dataset import MAX_ROWS, Dataset, split_holdout
+from .data.dataset import MAX_ROWS, Dataset, check_finite, split_holdout
 from .errors import CalibrationError, DataError, FingerprintMismatchError
 from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
                    write_trees)
@@ -285,11 +285,17 @@ def _tally_block(votes: np.ndarray, n_labels: int) -> np.ndarray:
 
 
 def predict_forest(forest: Forest, row):
-    """Plurality label and the per-label vote tally for one row."""
+    """Plurality label and the per-label vote tally for one row.
+
+    A Dataset checks its rows; this checks the row's length and refuses a
+    NaN or infinite value. The rules of a feature's kind (counts >= 0,
+    category codes in range) need the schema, which a Forest does not hold.
+    """
     X = np.asarray(row, dtype=float).reshape(1, -1)
     if X.shape[1] != forest.n_features:
         raise DataError(f"row has {X.shape[1]} values, the model"
                         f" {forest.n_features} features")
+    check_finite(X)
     votes = forest_votes(forest, X)
     tally = tally_votes(votes, forest.n_labels)[0]
     label = forest.labels[int(np.argmax(tally))]  # argmax ties -> higher risk

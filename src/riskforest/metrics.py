@@ -12,7 +12,7 @@ as 0: a silent zero would corrupt downstream fairness comparisons.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class ConfusionMatrix:
             return self.labels.index(label)
         except ValueError:
             raise DataError(f"no label named {label!r}") from None
-
-    def scaled(self, c: float) -> "ConfusionMatrix":
-        return ConfusionMatrix(self.labels, self.cells * c)
 
     # -- CSV round-trip (also the bundled fixture format) ---------------
 
@@ -134,26 +131,7 @@ class MetricReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "labels": list(self.labels),
-            "overall_accuracy": self.overall_accuracy,
-            "per_label": {
-                name: {
-                    "sensitivity": lm.sensitivity,
-                    "specificity": lm.specificity,
-                    "precision": lm.precision,
-                    "false_discovery_rate": lm.false_discovery_rate,
-                    "false_omission_rate": lm.false_omission_rate,
-                }
-                for name, lm in self.per_label.items()
-            },
-            "very_dangerous": self.very_dangerous,
-            "very_cautious": self.very_cautious,
-            "dangerous_rate": self.dangerous_rate,
-            "cautious_rate": self.cautious_rate,
-            "notes": list(self.notes),
-        }
-        return out
+        return asdict(self)
 
     def to_markdown(self) -> str:
         def pct(v):
@@ -244,12 +222,20 @@ def random_baseline(marginals) -> float:
 # -- ROC / AUC -------------------------------------------------------------
 
 
-def _check_binary(scores, actual):
+def finite_scores(scores) -> np.ndarray:
+    """``scores`` as a float array; a NaN or infinite score is refused, as
+    no threshold can rank it."""
     s = np.asarray(scores, dtype=float)
-    a = np.asarray(actual)
-    if a.dtype == bool:
-        a = a.astype(np.int64)
-    a = a.astype(np.int64)
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise DataError(f"score {bad[0]} is {float(s.flat[bad[0]])},"
+                        " not a finite number")
+    return s
+
+
+def _check_binary(scores, actual):
+    s = finite_scores(scores)
+    a = np.asarray(actual).astype(np.int64)
     if s.shape != a.shape or s.ndim != 1:
         raise DataError("scores and labels must be equal-length vectors")
     if not np.isin(a, (0, 1)).all():
@@ -261,33 +247,32 @@ def _check_binary(scores, actual):
     return s, a, P, N
 
 
+def distinct_scores(scores: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty score vector, ascending."""
+    s = np.sort(scores)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def at_or_above(scores: np.ndarray, positive: np.ndarray, thresholds):
+    """(tp, fp): how many positive and how many negative rows score at or
+    above each threshold."""
+    pos = np.sort(scores[positive])
+    neg = np.sort(scores[~positive])
+    return (pos.size - np.searchsorted(pos, thresholds),
+            neg.size - np.searchsorted(neg, thresholds))
+
+
 def roc_points(scores, actual) -> list[tuple[float, float]]:
     """(fpr, tpr) pairs, one per distinct decision threshold.
 
     A row is called positive when its score is at or above the threshold;
     sweeping the threshold from above the maximum score down to the
-    minimum produces the curve from (0, 0) to (1, 1). Points are
-    returned sorted by fpr with consecutive duplicates removed.
+    minimum produces the curve from (0, 0) to (1, 1), sorted by fpr; each
+    distinct score calls one row or more positive, so no point repeats.
     """
     s, a, P, N = _check_binary(scores, actual)
-    order = np.argsort(-s, kind="stable")
-    ss = s[order]
-    sa = a[order]
-    points = [(0.0, 0.0)]  # threshold above every score
-    tp = fp = 0
-    i = 0
-    n = ss.size
-    while i < n:
-        j = i
-        while j < n and ss[j] == ss[i]:
-            tp += sa[j]
-            fp += 1 - sa[j]
-            j += 1
-        point = (fp / N, tp / P)
-        if point != points[-1]:
-            points.append(point)
-        i = j
-    return points
+    tp, fp = at_or_above(s, a == 1, distinct_scores(s)[::-1])
+    return [(0.0, 0.0), *zip((fp / N).tolist(), (tp / P).tolist())]
 
 
 def auc(scores, actual) -> float:

@@ -329,6 +329,22 @@ def roc_sweep_oracle(scores, actual):
     return deduped
 
 
+def threshold_stats_oracle(scores, positive, thresholds):
+    """(precision, fpr, fnr) at each threshold, recounting the rows that
+    score at or above it one by one; precision is NaN where none do."""
+    rows = list(zip(map(float, scores), map(bool, positive)))
+    P = sum(1 for _, p in rows if p)
+    N = len(rows) - P
+    precision, fpr, fnr = [], [], []
+    for t in map(float, thresholds):
+        tp = sum(1 for s, p in rows if s >= t and p)
+        fp = sum(1 for s, p in rows if s >= t and not p)
+        precision.append(tp / (tp + fp) if tp + fp else float("nan"))
+        fpr.append(fp / N)
+        fnr.append((P - tp) / P)
+    return np.array(precision), np.array(fpr), np.array(fnr)
+
+
 # -- k-anonymity --------------------------------------------------------------
 
 

@@ -249,6 +249,16 @@ def test_group_needs_both_actual_classes():
         impossibility_search(g, 0.05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_group_score_is_refused_with_its_index(bad):
+    with pytest.raises(DataError,
+                       match=f"score 2 is {float(bad)}, not a finite number"):
+        GroupedOutcomes.from_scores({
+            "A": (np.array([0.2, 0.8, bad]), np.array([0, 1, 1])),
+            "B": (np.array([0.3, 0.7, 0.5]), np.array([0, 1, 0])),
+        }, 1)
+
+
 def test_grouped_outcomes_validation():
     with pytest.raises(DataError):
         GroupedOutcomes.from_predictions({"A": ([1], [1])}, 1)

@@ -1,6 +1,7 @@
 """Each verb imports only the layers it runs, and lazily bound names stay
 patchable in ``riskforest.cli``, where perfbench's tracer wraps them."""
 
+import functools
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import riskforest.data
 SRC = Path(riskforest.__file__).resolve().parents[1]
 
 # Runs one verb as ``python -m riskforest.cli`` would, then prints its exit
-# code and the riskforest modules the process loaded.
+# code and the riskforest modules the process loaded, and numpy.ma if loaded.
 _RUN_VERB = """
 import json, runpy, sys
 sys.argv = ["riskforest", *json.loads(sys.argv[1])]
@@ -26,7 +27,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "riskforest")]))
+                               if m.split(".")[0] == "riskforest"
+                               or m == "numpy.ma")]))
 """
 
 
@@ -58,6 +60,8 @@ def _loaded(argv, cwd) -> set[str]:
      {"tree", "forest", "metrics", "fairness"}),
     ("k-anon", {"data.privacy", "data.dataset"},
      {"tree", "forest", "metrics", "fairness"}),
+    ("audit", {"forest", "tree", "fairness", "metrics", "data.dataset"},
+     {"data.synth", "data.privacy"}),
 ])
 def test_verb_loads_only_its_layers(pipeline, verb, needs, skips):
     data = str(pipeline / "gen" / "synthetic.csv")
@@ -66,11 +70,24 @@ def test_verb_loads_only_its_layers(pipeline, verb, needs, skips):
                     str(pipeline / "tr" / "model.forest")],
         "generate": ["--n", "50", "--seed", "1", "--two-group"],
         "k-anon": ["--data", data, "--quasi", "Gender,Group"],
+        "audit": ["--data", data, "--model",
+                  str(pipeline / "tr" / "model.forest")],
     }[verb]
     loaded = _loaded([verb, *argv, "--group", "Group", "--out", "out"],
                      pipeline)
     assert needs <= loaded
     assert not skips & loaded
+    # numpy.ma takes about 10 ms to import; a verb may load it only if
+    # numpy itself does (as numpy 1.x does).
+    assert "numpy.ma" not in loaded or _numpy_loads_ma()
+
+
+@functools.cache
+def _numpy_loads_ma() -> bool:
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy;"
+                           " print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip() == "True"
 
 
 def test_patched_cli_name_is_the_one_a_verb_calls(pipeline, monkeypatch,

@@ -14,9 +14,11 @@ from riskforest import (
     roc_points,
 )
 from riskforest.errors import DataError
+from riskforest.fairness import _threshold_stats, default_threshold_grid
 from riskforest.reference import PUBLISHED, TABLE_TOLERANCE
 
-from oracles import auc_pair_oracle, confusion_oracle, roc_sweep_oracle
+from oracles import (auc_pair_oracle, confusion_oracle, roc_sweep_oracle,
+                     threshold_stats_oracle)
 
 LABELS = ("High", "Moderate", "Low")
 
@@ -226,6 +228,36 @@ def test_auc_of_independent_labels_near_half():
     scores = rng.random(2000)
     actual = rng.integers(0, 2, size=2000)
     assert auc(scores, actual) == pytest.approx(0.5, abs=0.03)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_score_is_refused_with_its_index(bad):
+    for measure in (roc_points, auc):
+        with pytest.raises(DataError,
+                           match=f"score 1 is {float(bad)}, not a finite number"):
+            measure([0.2, bad, 0.5], [1, 0, 0])
+
+
+# Scores from a small alphabet (many ties) or any finite float (few).
+_SCORE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_SCORE, st.booleans()), min_size=2, max_size=40))
+def test_at_or_above_counts_equal_their_oracles(rows):
+    scores = np.array([s for s, _ in rows])
+    positive = np.array([p for _, p in rows])
+    if positive.all() or not positive.any():
+        positive[0] = not positive[0]
+    grid = default_threshold_grid(scores)
+    # Ascending distinct scores, then a sentinel above them all.
+    assert np.array_equal(grid[:-1], np.unique(scores))
+    assert grid[-1] == scores.max() + 1.0
+    got = _threshold_stats(scores, positive, grid)
+    for a, b in zip(got, threshold_stats_oracle(scores, positive, grid)):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert roc_points(scores, positive) == roc_sweep_oracle(scores, positive)
 
 
 # -- agreement -----------------------------------------------------------------

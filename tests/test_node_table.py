@@ -318,6 +318,17 @@ def test_predict_forest_rejects_a_shorter_row(hart_forest):
         predict_forest(hart_forest, np.zeros(10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_forest_refuses_a_non_finite_value(hart_forest, hart_data,
+                                                   bad):
+    row = hart_data.X[0].copy()
+    row[7] = bad
+    message = f"non-finite feature value {float(bad)!r} at row 0, column 7"
+    with pytest.raises(DataError, match=message) as caught:
+        predict_forest(hart_forest, row)
+    assert (caught.value.row, caught.value.column) == (0, 7)
+
+
 # -- malformed model files -------------------------------------------------
 
 

@@ -37,6 +37,14 @@ def test_fixture_matches_builder(schema):
     assert FeatureSchema.load(fixture_path("hart_schema")) == schema
 
 
+def test_bundled_schema_fingerprint_is_pinned():
+    # Every model's fingerprint rests on the fixture file's contents.
+    assert hart_schema().fingerprint() == "5c57a9d269024d7e"
+    assert hart_schema().group_attribute is None
+    assert hart_schema("Group").group_attribute == "Group"
+    assert hart_schema("Group").fingerprint() == "5c57a9d269024d7e"
+
+
 def test_group_attribute_excluded_from_fingerprint(schema):
     assert schema.with_group("Group").fingerprint() == schema.fingerprint()
 
