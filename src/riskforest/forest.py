@@ -7,8 +7,9 @@ config. The per-tree bootstrap membership is therefore never stored: it
 is drawn again from the seed when out-of-bag predictions need to know
 which trees never saw a row.
 
-All trees live in one flat node table (``tree.NodeTable``); every
-forest-level prediction is one level-by-level gather over it.
+All trees live in one flat node table (``tree.NodeTable``). A forest's
+prediction is one level-by-level gather over all its trees; out-of-bag
+prediction gathers tree by tree, over the rows each tree left out.
 
 Since no tree depends on another, a large forest's trees grow in forked
 worker processes, one per available CPU; the forest is the same for any
@@ -45,9 +46,6 @@ COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 #: processes while they run side by side; smaller forests grow in fewer
 #: workers, down to this process alone.
 WORKER_MIN_DRAWS = 1 << 13
-
-#: (tree, row) votes one pass of ``tally_votes`` counts together.
-TALLY_BLOCK_PAIRS = 1 << 16
 
 
 def _class_weights(weights) -> tuple[float, ...]:
@@ -267,20 +265,12 @@ def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
 def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
     """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix.
 
-    Rows are counted in blocks of at most TALLY_BLOCK_PAIRS votes, so no
+    ``votes`` ends up holding each vote's (row, label) cell index, so no
     second (n_trees, n_rows) array is made.
     """
-    step = max(1, TALLY_BLOCK_PAIRS // votes.shape[0])
-    if votes.shape[1] <= step:
-        return _tally_block(votes, n_labels)
-    return np.concatenate([_tally_block(votes[:, r0:r0 + step], n_labels)
-                           for r0 in range(0, votes.shape[1], step)])
-
-
-def _tally_block(votes: np.ndarray, n_labels: int) -> np.ndarray:
     n_rows = votes.shape[1]
-    cells = votes + n_labels * np.arange(n_rows)
-    return np.bincount(cells.ravel(), minlength=n_rows * n_labels
+    votes += n_labels * np.arange(n_rows)
+    return np.bincount(votes.ravel(), minlength=n_rows * n_labels
                        ).reshape(n_rows, n_labels)
 
 
@@ -317,8 +307,8 @@ def oob_predict(forest: Forest, data: Dataset):
     voting on row i. Raises FingerprintMismatchError unless ``data`` holds
     the rows the forest was trained on.
 
-    In-bag votes, drawn again from the seed tree by tree, are overwritten
-    with an extra label K; the tally of K + 1 labels drops its column.
+    Each tree's in-bag rows are drawn again from the seed, and the tree
+    votes on the other rows only.
     """
     _check_fingerprint(forest, data)
     if data_digest(data) != forest.data_digest:
@@ -329,11 +319,15 @@ def oob_predict(forest: Forest, data: Dataset):
         raise FingerprintMismatchError(
             f"dataset has {len(data)} rows, the model's training set"
             f" {forest.n_train}")
-    votes = forest_votes(forest, data.X)
-    K = forest.n_labels
-    for t in range(forest.config.n_trees):
-        votes[t, bootstrap_rows(forest.config, t, forest.n_train)] = K
-    tally = tally_votes(votes, K + 1)[:, :K]
+    table = forest.table
+    tally = np.zeros((forest.n_train, forest.n_labels), dtype=np.intp)
+    for t, root in enumerate(table.roots):
+        out = np.ones(forest.n_train, dtype=bool)
+        out[bootstrap_rows(forest.config, t, forest.n_train)] = False
+        rows = np.flatnonzero(out)
+        if rows.size:  # leaves refuses an empty matrix
+            # A row appears once per tree, so the fancy-index add is exact.
+            tally[rows, table.vote[table.leaves(data.X[rows], [root])[0]]] += 1
     oob_counts = tally.sum(axis=1)
     labels = np.argmax(tally, axis=1)
     labels[oob_counts == 0] = -1

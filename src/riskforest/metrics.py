@@ -235,7 +235,7 @@ def finite_scores(scores) -> np.ndarray:
 
 def _check_binary(scores, actual):
     s = finite_scores(scores)
-    a = np.asarray(actual).astype(np.int64)
+    a = np.asarray(actual)
     if s.shape != a.shape or s.ndim != 1:
         raise DataError("scores and labels must be equal-length vectors")
     if not np.isin(a, (0, 1)).all():

@@ -1,7 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskforest import (
     Dataset,
@@ -247,18 +250,33 @@ def test_failure_in_this_process_share_reaps_every_worker(small_data,
     _no_child_left()
 
 
-def test_tally_votes_in_blocks_equals_one_bincount(monkeypatch):
-    import riskforest.forest as forest_module
+@settings(max_examples=60, deadline=None)
+@given(n_trees=st.integers(1, 40), n_rows=st.integers(1, 300),
+       n_labels=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+@example(n_trees=9, n_rows=1, n_labels=3, seed=0)
+def test_tally_votes_equals_a_bincount_per_row(n_trees, n_rows, n_labels, seed):
+    votes = np.random.default_rng(seed).integers(0, n_labels,
+                                                 size=(n_trees, n_rows))
+    want = np.array([np.bincount(row_votes, minlength=n_labels)
+                     for row_votes in votes.copy().T])
+    assert np.array_equal(tally_votes(votes, n_labels), want)
 
-    rng = np.random.default_rng(3)
-    votes = rng.integers(0, 4, size=(7, 50))
-    kept = votes.copy()
-    whole = np.bincount((votes + 4 * np.arange(50)).ravel(),
-                        minlength=200).reshape(50, 4)
-    for pairs in (1, 7, 20, 1 << 16):
-        monkeypatch.setattr(forest_module, "TALLY_BLOCK_PAIRS", pairs)
-        assert np.array_equal(tally_votes(votes, 4), whole)
-    assert np.array_equal(votes, kept)
+
+def test_oob_predict_holds_no_trees_by_rows_matrix():
+    # Many shallow trees: one intp (trees x rows) vote matrix dwarfs what a
+    # tree-by-tree out-of-bag tally needs.
+    data = generate_synthetic(hart_schema(), 2000, VALIDATION_MARGINALS, 0.8, 9)
+    forest = train_forest(data, ForestConfig(n_trees=200, max_depth=2,
+                                             master_seed=4))
+    matrix_bytes = forest.config.n_trees * len(data) * np.dtype(np.intp).itemsize
+    oob_predict(forest, data)  # first-call allocations are not the property
+    tracemalloc.start()
+    try:
+        oob_predict(forest, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes
 
 
 def _hand_forest(vote_labels, schema):

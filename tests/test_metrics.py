@@ -238,6 +238,20 @@ def test_a_non_finite_score_is_refused_with_its_index(bad):
             measure([0.2, bad, 0.5], [1, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7])
+def test_a_fractional_label_is_refused(bad):
+    for measure in (roc_points, auc):
+        with pytest.raises(DataError, match=r"labels must be binary \(0/1\)"):
+            measure([0.1, 0.2, 0.3], [bad, 1, 0])
+
+
+def test_boolean_and_float_labels_are_read_as_zero_and_one():
+    want = auc([0.1, 0.2, 0.3], [0, 1, 0])
+    assert auc([0.1, 0.2, 0.3], [False, True, False]) == want
+    assert roc_points([0.1, 0.2, 0.3], [0.0, 1.0, 0.0]) == roc_points(
+        [0.1, 0.2, 0.3], [0, 1, 0])
+
+
 # Scores from a small alphabet (many ties) or any finite float (few).
 _SCORE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(
     -1e6, 1e6, allow_nan=False, allow_infinity=False)
