@@ -111,17 +111,6 @@ class ColumnRanks:
             a.flags.writeable = False
 
 
-def check_finite(X: np.ndarray, names=None) -> None:
-    """Refuse the first NaN or infinite value of a row matrix, naming its
-    row and its column (by ``names``, else by index)."""
-    # On one row (predict_forest) count_nonzero is cheaper than .all().
-    if np.count_nonzero(np.isfinite(X)) != X.size:
-        r, c = map(int, np.argwhere(~np.isfinite(X))[0])
-        name = c if names is None else names[c]
-        raise DataError(f"non-finite feature value {float(X[r, c])!r}"
-                        f" at row {r}, column {name}", row=r, column=name)
-
-
 def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> None:
     if X.ndim != 2 or X.shape[1] != schema.n_features:
         raise DataError(
@@ -135,24 +124,7 @@ def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> No
         raise DataError(f"label index out of range at row {bad}", row=bad)
     if groups is not None and len(groups) != n:
         raise DataError("group vector length does not match row count")
-    check_finite(X, schema.feature_names)
-    for j, spec in enumerate(schema.specs):
-        col = X[:, j]
-        if spec.kind == "count":
-            bad = (col < 0) | (col != np.floor(col))
-        elif spec.kind == "years-since":
-            bad = col < 0
-        elif spec.kind in ("categorical", "binary"):
-            bad = (col != np.floor(col)) | (col < 0) | (col >= len(spec.categories))
-        else:
-            continue
-        if bad.any():
-            r = int(np.flatnonzero(bad)[0])
-            raise DataError(
-                f"value {float(col[r])!r} invalid for {spec.kind} feature"
-                f" {spec.name}",
-                row=r, column=spec.name,
-            )
+    schema.check_rows(X)
 
 
 # -- CSV ---------------------------------------------------------------
@@ -169,8 +141,7 @@ def load_unlabeled_csv(path, schema: FeatureSchema):
 
     Returns (X, y_or_None, groups_or_None).
     """
-    X, y, groups = _parse_csv(path, schema, require_label=False)
-    return X, y, groups
+    return _parse_csv(path, schema, require_label=False)
 
 
 #: Records parsed or written together; bounds the cell strings held at once.

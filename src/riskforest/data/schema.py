@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -136,6 +137,36 @@ class FeatureSchema:
             return self.feature_names.index(name)
         except ValueError:
             raise SchemaError(f"no feature named {name!r}") from None
+
+    @cached_property
+    def _cell_bounds(self):
+        """Arrays of each column's least and greatest value and whether it
+        may hold a fraction."""
+        top = np.finfo(float).max  # so that an infinity is out of range
+        least = np.array([-top if s.kind == "numeric" else 0.0 for s in self.specs])
+        greatest = np.array([len(s.categories) - 1 if s.kind in SUBSET_KINDS
+                             else top for s in self.specs])
+        fractional = np.array([s.kind in ("numeric", "years-since")
+                               for s in self.specs])
+        return least, greatest, fractional
+
+    def check_rows(self, X: np.ndarray) -> None:
+        """Refuse the first cell of a (rows, n_features) float matrix, in row
+        then column order, that breaks its kind's rule: values finite, counts
+        and years not negative, counts and category codes whole, codes below
+        the category count. The DataError names the row and the feature."""
+        least, greatest, fractional = self._cell_bounds
+        # A NaN fails every comparison, so it is refused with the rest.
+        ok = (X >= least) & (X <= greatest) & ((X == np.floor(X)) | fractional)
+        if np.count_nonzero(ok) == ok.size:
+            return
+        r, c = map(int, np.argwhere(~ok)[0])
+        spec, value = self.specs[c], float(X[r, c])
+        if not math.isfinite(value):
+            raise DataError(f"non-finite feature value {value!r} at row {r},"
+                            f" column {spec.name}", row=r, column=spec.name)
+        raise DataError(f"value {value!r} invalid for {spec.kind} feature"
+                        f" {spec.name}", row=r, column=spec.name)
 
     def with_group(self, name: str) -> "FeatureSchema":
         return replace(self, group_attribute=name)

@@ -31,12 +31,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data.dataset import MAX_ROWS, Dataset, check_finite, split_holdout
+from .data.dataset import MAX_ROWS, Dataset, split_holdout
+from .data.schema import FeatureSchema
 from .errors import CalibrationError, DataError, FingerprintMismatchError
 from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
-FOREST_FORMAT_LINE = "riskforest-forest v3"
+FOREST_FORMAT_LINE = "riskforest-forest v4"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -94,29 +95,39 @@ class ForestConfig:
         )
 
 
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Forest:
     """A trained forest: its config, its trees in one flat node table, and
     what it needs to refuse data it was not made for.
 
-    ``n_features`` is the row length the model scores, ``n_train`` the
-    size of its training set, from which ``oob_predict`` draws the in-bag
-    rows again, and ``data_digest`` identifies its training rows.
+    ``schema`` is the schema it was trained on, whose fingerprint, labels
+    and feature count are the forest's and whose kind rules a scored row
+    must keep. ``n_train`` is the size of the training set, from which
+    ``oob_predict`` draws the in-bag rows again, and ``data_digest``
+    identifies its training rows.
     """
 
-    def __init__(self, config: ForestConfig, *, fingerprint: str, labels,
-                 table: NodeTable, n_features: int, n_train: int,
-                 data_digest: str):
-        self.config = config
-        self.fingerprint = fingerprint
-        self.labels = tuple(labels)
-        self.table = table
-        self.n_features = n_features
-        self.n_train = n_train
-        self.data_digest = data_digest
+    config: ForestConfig
+    schema: FeatureSchema
+    table: NodeTable
+    n_train: int
+    data_digest: str
+
+    @property
+    def fingerprint(self) -> str:
+        return self.schema.fingerprint()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.schema.label_set
+
+    @property
+    def n_features(self) -> int:
+        return self.schema.n_features
 
     @property
     def n_labels(self) -> int:
-        return len(self.labels)
+        return self.schema.n_labels
 
 
 def _tree_streams(master_seed: int, index: int):
@@ -191,10 +202,8 @@ def train_forest(data: Dataset, config: ForestConfig) -> Forest:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return Forest(config=cfg, table=NodeTable.concatenate(tables),
-                  fingerprint=data.schema.fingerprint(),
-                  labels=data.schema.label_set,
-                  n_features=data.schema.n_features, n_train=n,
+    return Forest(config=cfg, schema=data.schema,
+                  table=NodeTable.concatenate(tables), n_train=n,
                   data_digest=data_digest(data))
 
 
@@ -245,12 +254,10 @@ def _worker_result(w: int, pid: int, pipe) -> list:
 # -- prediction ----------------------------------------------------------
 
 
-def _check_fingerprint(forest: Forest, data: Dataset) -> None:
-    if data.schema.fingerprint() != forest.fingerprint:
-        raise FingerprintMismatchError(
-            f"dataset schema {data.schema.fingerprint()} does not match the"
-            f" model's {forest.fingerprint}"
-        )
+def _check_fingerprint(schema: FeatureSchema, fingerprint: str) -> None:
+    if schema.fingerprint() != fingerprint:
+        raise FingerprintMismatchError(f"schema {schema.fingerprint()} does not"
+                                       f" match the model's {fingerprint}")
 
 
 def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -277,15 +284,15 @@ def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
 def predict_forest(forest: Forest, row):
     """Plurality label and the per-label vote tally for one row.
 
-    A Dataset checks its rows; this checks the row's length and refuses a
-    NaN or infinite value. The rules of a feature's kind (counts >= 0,
-    category codes in range) need the schema, which a Forest does not hold.
+    The row is refused as a Dataset would refuse it: it must hold one
+    value per feature of the forest's schema, and each value must keep the
+    rules of its feature's kind (``FeatureSchema.check_rows``).
     """
     X = np.asarray(row, dtype=float).reshape(1, -1)
     if X.shape[1] != forest.n_features:
         raise DataError(f"row has {X.shape[1]} values, the model"
                         f" {forest.n_features} features")
-    check_finite(X)
+    forest.schema.check_rows(X)
     votes = forest_votes(forest, X)
     tally = tally_votes(votes, forest.n_labels)[0]
     label = forest.labels[int(np.argmax(tally))]  # argmax ties -> higher risk
@@ -294,7 +301,7 @@ def predict_forest(forest: Forest, row):
 
 def predict_dataset(forest: Forest, data: Dataset):
     """(label indices, vote tallies) for every row; checks the fingerprint."""
-    _check_fingerprint(forest, data)
+    _check_fingerprint(data.schema, forest.fingerprint)
     votes = forest_votes(forest, data.X)
     tally = tally_votes(votes, forest.n_labels)
     return np.argmax(tally, axis=1), tally
@@ -310,7 +317,7 @@ def oob_predict(forest: Forest, data: Dataset):
     Each tree's in-bag rows are drawn again from the seed, and the tree
     votes on the other rows only.
     """
-    _check_fingerprint(forest, data)
+    _check_fingerprint(data.schema, forest.fingerprint)
     if data_digest(data) != forest.data_digest:
         raise FingerprintMismatchError(
             "out-of-bag figures need the training data; this dataset's digest"
@@ -444,13 +451,6 @@ def _natural(text: str) -> int:
     return value
 
 
-def _labels(text: str) -> tuple[str, ...]:
-    labels = tuple(text.split(","))
-    if len(labels) < 2 or "" in labels or len(set(labels)) != len(labels):
-        raise ValueError(text)
-    return labels
-
-
 def _hex16(text: str) -> str:
     if len(text) != 16 or text.strip("0123456789abcdef"):
         raise ValueError(text)
@@ -460,11 +460,10 @@ def _hex16(text: str) -> str:
 # The header lines of a forest document, in the order save_forest writes
 # them, each with the function that reads and checks its value. A key names
 # a ForestConfig field or else a Forest attribute. A reader raises
-# ValueError for a malformed value, or DataError with its own message.
+# ValueError for a malformed value, or DataError with its own message. The
+# labels and feature count are the schema's, which the fingerprint names.
 _HEADER = {
     "fingerprint": _hex16,
-    "labels": _labels,
-    "n_features": _positive_int,
     "n_trees": _positive_int,
     "class_weights": lambda text: _class_weights(text.split(",")),
     "feature_subset_size": _positive_int,
@@ -478,11 +477,12 @@ _HEADER = {
 _CONFIG_KEYS = tuple(f.name for f in fields(ForestConfig))
 
 
-def load_forest(path, schema=None) -> Forest:
+def load_forest(path, schema: FeatureSchema) -> Forest:
     """Read a forest document into a node table; any malformed input raises
-    DataError with its line number. When a schema is given, the model's
-    fingerprint, feature count, split features and category codes are
-    checked against it.
+    DataError with its line number. The model must have been trained on
+    ``schema``: a fingerprint that is not the schema's raises
+    FingerprintMismatchError before any tree is read, and the trees'
+    labels, split features and category codes are checked against it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -498,7 +498,7 @@ def load_forest(path, schema=None) -> Forest:
             raise fail(1, f"{lines[0]!r} cannot be read: this version reads"
                           f" {FOREST_FORMAT_LINE!r} only; retrain the model")
         raise fail(1, f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
-    values, at = {}, {}  # each header key's value and line number
+    values = {}  # each header key's value, in line order from line 2
     pos = 1
     while pos < len(lines) and not lines[pos].startswith("tree "):
         key, _, text = lines[pos].partition(" ")
@@ -510,32 +510,21 @@ def load_forest(path, schema=None) -> Forest:
             raise fail(pos + 1, str(exc)) from None
         except ValueError:
             raise fail(pos + 1, f"bad {key} {text!r}") from None
-        at[key] = pos + 1
         pos += 1
     missing = [key for key in _HEADER if key not in values]
     if missing:
         raise fail(pos + 1, "forest header missing " + ", ".join(missing))
-    cfg = ForestConfig(**{key: values.pop(key) for key in _CONFIG_KEYS})
-    n_labels, n_features = len(values["labels"]), values["n_features"]
-    if len(cfg.class_weights) != n_labels:
-        raise fail(at["class_weights"],
-                   f"{len(cfg.class_weights)} class weights for {n_labels} labels")
-    n_categories = None
-    if schema is not None:
-        if schema.fingerprint() != values["fingerprint"]:
-            raise FingerprintMismatchError(
-                f"schema {schema.fingerprint()} does not match the saved"
-                f" model's {values['fingerprint']}")
-        if schema.n_features != n_features:
-            raise fail(at["n_features"],
-                       f"model has {n_features} features, the schema"
-                       f" {schema.n_features}")
-        n_categories = [len(spec.categories) for spec in schema.specs]
-
+    _check_fingerprint(schema, values["fingerprint"])
+    cfg = ForestConfig(**{key: values[key] for key in _CONFIG_KEYS})
+    if len(cfg.class_weights) != schema.n_labels:
+        raise fail(2 + list(values).index("class_weights"),
+                   f"{len(cfg.class_weights)} class weights for {schema.n_labels} labels")
     try:
-        table = read_trees(lines, pos, n_labels, n_features, n_categories)
+        table = read_trees(lines, pos, schema.n_labels,
+                           [len(spec.categories) for spec in schema.specs])
     except DataError as exc:
         raise fail(exc.row + 1, str(exc)) from None
     if table.n_trees != cfg.n_trees:  # read_trees ends at the last line
         raise fail(len(lines), f"{table.n_trees} trees, header says {cfg.n_trees}")
-    return Forest(config=cfg, table=table, **values)
+    return Forest(config=cfg, schema=schema, table=table,
+                  n_train=values["n_train"], data_digest=values["data_digest"])

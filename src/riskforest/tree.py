@@ -552,9 +552,6 @@ def _pre_order_table(levels) -> NodeTable:
 #: It bounds the gather's temporary arrays whatever the batch or forest size.
 BLOCK_PAIRS = 1 << 12
 
-#: Largest category code a subset split may hold when no schema says more.
-MAX_CATEGORY_CODE = (1 << 20) - 1
-
 
 class NodeTable:
     """Every node of one or more trees in flat arrays, each tree in pre-order.
@@ -736,16 +733,15 @@ def write_trees(table: NodeTable) -> list[str]:
     return lines
 
 
-def read_trees(lines, first: int, n_labels: int, n_features: int,
-               n_categories=None) -> NodeTable:
+def read_trees(lines, first: int, n_labels: int, n_categories) -> NodeTable:
     """The NodeTable of the trees write_trees wrote from ``lines[first]`` on:
     ``tree t`` and tree t's node lines (``leaf w,..``, ``split f <= t`` or
     ``split f in c,..``) in pre-order, tree after tree, then ``end`` as the
     last line. It checks the structure (trees in order, two subtrees per
     split, no node after a finished tree), that leaf weights are finite and
     nonnegative with a positive sum and thresholds finite, and that every
-    node fits the label and feature counts and, when given them, each
-    feature's category count.
+    node fits the label count and ``n_categories``, which holds each
+    feature's category count (0 for a numeric kind), one per feature.
     A violation raises DataError whose ``row`` is the offending line's index.
     """
     # Typed buffers: a list of Python numbers takes four times the memory.
@@ -807,18 +803,16 @@ def read_trees(lines, first: int, n_labels: int, n_features: int,
             else:
                 tree_open = False
         else:
-            if not 0 <= f < n_features:
+            if not 0 <= f < len(n_categories):
                 raise DataError(f"split feature {f} outside the model's"
-                                f" {n_features} features", row=row)
+                                f" {len(n_categories)} features", row=row)
             if codes is None and not -inf < thr < inf:
                 raise DataError("split threshold must be finite", row=row)
             if codes is not None:
-                limit = (MAX_CATEGORY_CODE + 1 if n_categories is None
-                         else n_categories[f])
-                bad = [c for c in codes if not 0 <= c < limit]
+                bad = [c for c in codes if not 0 <= c < n_categories[f]]
                 if bad:
                     raise DataError(f"category {bad[0]} outside feature {f}'s"
-                                    f" {limit} categories", row=row)
+                                    f" {n_categories[f]} categories", row=row)
                 member_node.extend([i] * len(codes))
                 member_code.extend(codes)
             waiting.append(i)

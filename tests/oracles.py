@@ -258,11 +258,11 @@ def tree_lines(tree):
     return tree.table.subtree_lines(tree.index)
 
 
-def tree_from_lines(lines, n_labels, n_features):
+def tree_from_lines(lines, n_labels, n_categories):
     """The one tree given by its pre-order node lines, as a root TreeNode."""
     from riskforest.tree import TreeNode, read_trees
 
-    table = read_trees(["tree 0", *lines, "end"], 0, n_labels, n_features)
+    table = read_trees(["tree 0", *lines, "end"], 0, n_labels, n_categories)
     return TreeNode(table, 0)
 
 

@@ -206,6 +206,37 @@ def test_invalid_dataset_value_is_named_as_a_plain_float(tri_schema):
     assert (err.value.row, err.value.column) == (1, "priors")
 
 
+@pytest.mark.parametrize("column, value", [
+    (1, 1.5), (2, -0.5), (3, 2.0), (3, 0.5), (3, -1.0), (4, 5.0), (4, 2.5)])
+def test_dataset_refuses_a_value_its_feature_kind_forbids(tri_schema, column,
+                                                          value):
+    X = np.array([[25.0, 1, 3, 0, 0]])
+    X[0, column] = value
+    spec = tri_schema.specs[column]
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [0])
+    assert str(err.value) == (f"value {value!r} invalid for {spec.kind}"
+                              f" feature {spec.name}")
+    assert (err.value.row, err.value.column) == (0, spec.name)
+
+
+def test_dataset_accepts_every_value_its_feature_kinds_allow(tri_schema):
+    X = np.array([[-3.5, 0, 0, 0, 0], [1e300, 1e300, 2.5, 1, 4],
+                  [0.0, 7, 100.0, 0, 3]])
+    assert len(Dataset(tri_schema, X, [0, 1, 2])) == 3
+
+
+def test_dataset_reports_its_first_bad_cell_in_row_then_column_order(
+        tri_schema):
+    # A kind fault in row 0 comes before a non-finite value in row 1, and
+    # within a row the earlier column comes first.
+    X = np.array([[25.0, 1, 3, 2, -1], [np.nan, -1, 3, 0, 0]])
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [0, 1])
+    assert str(err.value) == "value 2.0 invalid for binary feature flag"
+    assert (err.value.row, err.value.column) == (0, "flag")
+
+
 def test_unlabeled_load(tmp_path, tri_schema):
     path = _write(tmp_path, "age,priors,recent,flag,area\n25,1,3,No,N\n")
     X, y, groups = load_unlabeled_csv(path, tri_schema)

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,11 +288,10 @@ def _hand_forest(vote_labels, schema):
                                                   for j in range(3))]
     cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
-    return Forest(config=cfg,
-                  table=read_trees(lines + ["end"], 0, 3, schema.n_features),
-                  fingerprint=schema.fingerprint(), labels=schema.label_set,
-                  n_features=schema.n_features, n_train=1,
-                  data_digest="0" * 16)
+    return Forest(config=cfg, schema=schema,
+                  table=read_trees(lines + ["end"], 0, 3,
+                                   [len(s.categories) for s in schema.specs]),
+                  n_train=1, data_digest="0" * 16)
 
 
 def test_identical_trees_vote_unanimously(schema):
@@ -342,10 +342,10 @@ def test_single_row_predictions_equal_the_batch_ones(small_data, n_trees):
 def test_fingerprint_mismatch_rejected(small_data):
     cfg = ForestConfig(n_trees=3, master_seed=2, max_depth=4)
     forest = train_forest(small_data, cfg)
-    tampered = Forest(config=forest.config, table=forest.table,
-                      fingerprint="0" * 16, labels=forest.labels,
-                      n_features=forest.n_features, n_train=forest.n_train,
-                      data_digest=forest.data_digest)
+    other = replace(forest.schema, label_set=("A", "B", "C"))
+    assert other.fingerprint() != forest.fingerprint
+    tampered = Forest(config=forest.config, schema=other, table=forest.table,
+                      n_train=forest.n_train, data_digest=forest.data_digest)
     with pytest.raises(FingerprintMismatchError):
         predict_dataset(tampered, small_data)
     with pytest.raises(FingerprintMismatchError):
@@ -404,7 +404,7 @@ def test_save_load_round_trip(small_data, tmp_path):
     forest = train_forest(small_data, cfg)
     path = tmp_path / "model.forest"
     save_forest(forest, path)
-    again = load_forest(path)
+    again = load_forest(path, small_data.schema)
     assert again.fingerprint == forest.fingerprint
     assert again.labels == forest.labels
     assert again.config == forest.config

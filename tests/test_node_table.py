@@ -1,4 +1,6 @@
-"""The flat node table, model format v3 and the checks that ride on them."""
+"""The flat node table, model format v4 and the checks that ride on them."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +95,7 @@ def test_trained_forest_table_equals_the_table_loaded_from_its_file(
     assert _subset_splits(hart_forest), "want category flags to check"
     path = tmp_path / "model.forest"
     save_forest(hart_forest, path)
-    loaded = load_forest(path).table
+    loaded = load_forest(path, hart_schema()).table
     _assert_same_table(hart_forest.table, loaded)
     assert (hart_forest.table.depth == loaded.depth
             == max(map(tree_depth, forest_trees(hart_forest))))
@@ -131,7 +133,7 @@ def test_codes_outside_a_subset_go_right_like_int_membership():
     tree = tree_from_lines([
         "split 0 in 1,3",
         "split 1 in 0,2", "leaf 1.0,0.0,0.0", "leaf 0.0,1.0,0.0",
-        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"], 3, 2)
+        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"], 3, [4, 5])
     values = np.r_[np.arange(-6.0, 8.0, 0.5), -1e30, 1e30]
     X = np.array([(a, b) for a in values for b in values])
     got = tree_apply(tree, X)
@@ -267,7 +269,8 @@ def test_a_stump_beside_a_deep_tree_keeps_each_row_at_its_leaves():
                   f"leaf {k + 1}.0,1.0,0.0"]
     chain.append("leaf 0.0,0.0,1.0")
     table = read_trees(["tree 0", "split 0 <= 3.5", "leaf 1.0,0.0,0.0",
-                        "leaf 0.0,1.0,0.0", "tree 1", *chain, "end"], 0, 3, 2)
+                        "leaf 0.0,1.0,0.0", "tree 1", *chain, "end"], 0, 3,
+                       [0, 7])
     assert table.depth == 8
     values = [-1e30, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
               7.0, 9.0, 1e30, float("nan")]
@@ -293,7 +296,7 @@ def test_oob_refuses_a_same_size_holdout(tmp_path):
                                               max_depth=4))
     path = tmp_path / "model.forest"
     save_forest(forest, path)
-    for model in (forest, load_forest(path)):
+    for model in (forest, load_forest(path, hart_schema())):
         oob_predict(model, train)
         with pytest.raises(FingerprintMismatchError):
             oob_predict(model, hold)
@@ -323,19 +326,56 @@ def test_predict_forest_refuses_a_non_finite_value(hart_forest, hart_data,
                                                    bad):
     row = hart_data.X[0].copy()
     row[7] = bad
-    message = f"non-finite feature value {float(bad)!r} at row 0, column 7"
+    name = hart_schema().feature_names[7]
+    message = f"non-finite feature value {float(bad)!r} at row 0, column {name}"
     with pytest.raises(DataError, match=message) as caught:
         predict_forest(hart_forest, row)
-    assert (caught.value.row, caught.value.column) == (0, 7)
+    assert (caught.value.row, caught.value.column) == (0, name)
+
+
+@pytest.mark.parametrize("value", [-5.0, 1e300, 0.5])
+def test_predict_forest_refuses_a_value_its_feature_kind_forbids(hart_forest,
+                                                                 value):
+    # Column 0 is numeric and takes any finite value; Gender, a binary
+    # feature, is the first column to refuse each of these.
+    with pytest.raises(DataError) as caught:
+        predict_forest(hart_forest, np.full(hart_forest.n_features, value))
+    assert str(caught.value) == f"value {value!r} invalid for binary feature Gender"
+    assert (caught.value.row, caught.value.column) == (0, "Gender")
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(max_value=-1e-300, allow_infinity=False),  # negative
+    st.floats(0, 50).filter(lambda v: not v.is_integer()),  # fractional
+    st.integers(0, 40).map(float),  # a code in or beyond range
+    st.sampled_from([np.inf, -np.inf, np.nan, 1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.integers(0, 399), j=st.integers(0, 33), value=_CELL_VALUES)
+def test_predict_forest_refuses_a_row_exactly_when_a_dataset_does(
+        hart_forest, hart_data, i, j, value):
+    row = hart_data.X[i].copy()
+    row[j] = value
+
+    def outcome(call):
+        try:
+            call()
+        except DataError as exc:
+            return str(exc), exc.row, exc.column
+        return None
+
+    refused = outcome(lambda: Dataset(hart_data.schema, row[None], [0]))
+    assert outcome(lambda: predict_forest(hart_forest, row)) == refused
 
 
 # -- malformed model files -------------------------------------------------
 
 
-def _load_lines(tmp_path, lines, schema=None):
+def _load_lines(tmp_path, lines):
     path = tmp_path / "bad.forest"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return load_forest(path, schema)
+    return load_forest(path, hart_schema())
 
 
 def _first(lines, prefix):
@@ -373,7 +413,7 @@ def test_split_feature_beyond_schema_is_rejected(tmp_path, model_lines):
         lines[i] = f"split {feature} {op} {arg}"
         with pytest.raises(DataError,
                            match=f"line {i + 1}: split feature {feature} outside"):
-            _load_lines(tmp_path, lines, hart_schema())
+            _load_lines(tmp_path, lines)
 
 
 def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):
@@ -384,16 +424,43 @@ def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):
     n_cats = len(schema.specs[feature].categories)
     lines[i] = f"split {feature} in 0,{n_cats}"
     with pytest.raises(DataError, match=f"line {i + 1}: category {n_cats}"):
-        _load_lines(tmp_path, lines, schema)
+        _load_lines(tmp_path, lines)
 
 
 def test_v1_model_file_is_rejected_naming_both_formats(tmp_path, model_lines):
-    for old in ("riskforest-forest v1", "riskforest-forest v2"):
+    for old in ("riskforest-forest v1", "riskforest-forest v2",
+                "riskforest-forest v3"):
         lines = [old] + list(model_lines[1:])
         with pytest.raises(DataError, match="line 1: ") as err:
             _load_lines(tmp_path, lines)
         assert old in str(err.value)
-        assert "reads 'riskforest-forest v3' only; retrain" in str(err.value)
+        assert "reads 'riskforest-forest v4' only; retrain" in str(err.value)
+
+
+def test_a_saved_model_holds_no_header_line_its_schema_fixes(model_lines):
+    # The labels and the feature count are the schema's, which the
+    # fingerprint names.
+    header = model_lines[1:_first(model_lines, "tree 0")]
+    assert [line.split(" ")[0] for line in header] == [
+        "fingerprint", "n_trees", "class_weights", "feature_subset_size",
+        "min_leaf", "max_depth", "master_seed", "bootstrap_size", "n_train",
+        "data_digest"]
+
+
+def test_another_schema_is_refused_before_any_tree_is_read(
+        tmp_path, model_lines, monkeypatch):
+    import riskforest.forest as forest_module
+
+    def no_trees(*args):
+        raise AssertionError("read_trees was called")
+
+    monkeypatch.setattr(forest_module, "read_trees", no_trees)
+    path = tmp_path / "model.forest"
+    path.write_text("\n".join(model_lines) + "\n", encoding="utf-8")
+    other = replace(hart_schema(), label_set=("Red", "Amber", "Green"))
+    with pytest.raises(FingerprintMismatchError,
+                       match=f"schema {other.fingerprint()} does not match"):
+        load_forest(path, other)
 
 
 def _splice(lines, at, stop, new=()):
@@ -414,7 +481,7 @@ def _replace(lines, prefix, *new):
 _LOAD_FAULTS = {
     "not a forest document": (
         lambda m: _replace(m, "riskforest-forest", "riskforest model"),
-        "not a forest document (expected 'riskforest-forest v3')"),
+        "not a forest document (expected 'riskforest-forest v4')"),
     "unknown header key": (
         lambda m: _replace(m, "min_leaf ", "colour blue"),
         "unexpected header line 'colour blue'"),
@@ -437,9 +504,14 @@ _LOAD_FAULTS = {
     "class weight count": (
         lambda m: _replace(m, "class_weights ", "class_weights 1.0,1.0"),
         "2 class weights for 3 labels"),
-    "feature count against the schema": (
-        lambda m: _replace(m, "n_features ", "n_features 35"),
-        "model has 35 features, the schema 34"),
+    "format v3's labels line": (
+        lambda m: _replace(m, "n_trees ", "labels High,Moderate,Low",
+                           m[_first(m, "n_trees ")]),
+        "unexpected header line 'labels High,Moderate,Low'"),
+    "format v3's n_features line": (
+        lambda m: _replace(m, "n_trees ", "n_features 34",
+                           m[_first(m, "n_trees ")]),
+        "unexpected header line 'n_features 34'"),
     "node after the end of its tree": (
         lambda m: _replace(m, "tree 1", "leaf 1.0,0.0,0.0", "tree 1"),
         "node after the end of its tree"),
@@ -514,7 +586,7 @@ def test_model_file_fault_is_reported_with_its_line(tmp_path, model_lines,
     lines = list(model_lines)
     lineno = edit(lines) + 1
     with pytest.raises(DataError) as err:
-        _load_lines(tmp_path, lines, hart_schema())
+        _load_lines(tmp_path, lines)
     assert str(err.value) == f"{tmp_path / 'bad.forest'}, line {lineno}: {message}"
 
 
@@ -552,10 +624,9 @@ def test_edited_model_file_loads_or_raises_data_error(
     base = tmp_path_factory.getbasetemp()
     path, again = base / "edited.forest", base / "again.forest"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for model_schema in (None, schema):
-        try:
-            forest = load_forest(path, model_schema)
-        except DataError:
-            continue
-        save_forest(forest, again)
-        _assert_same_table(load_forest(again, model_schema).table, forest.table)
+    try:
+        forest = load_forest(path, schema)
+    except DataError:
+        return
+    save_forest(forest, again)
+    _assert_same_table(load_forest(again, schema).table, forest.table)

@@ -69,7 +69,7 @@ def test_traced_train_and_predict_give_every_forest_and_tree_metric(
         assert math.isfinite(metrics[name]), name
     for name in ("forest.oob_s", "forest.votes_s", "forest.tally_s"):
         assert metrics[name] > 0, name  # a span was recorded
-    forest = forest_api.load_forest(tr / "model.forest")
+    forest = forest_api.load_forest(tr / "model.forest", hart_schema())
     assert metrics["tree.train_tree_calls"] == 3
     assert metrics["tree.nodes_mean"] == len(forest.table.right) / 3
     assert metrics["tree.depth_max"] == forest.table.depth

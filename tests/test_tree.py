@@ -10,6 +10,11 @@ from oracles import (greedy_tree_oracle, oracle_tree_predict,
                      tree_from_lines, tree_lines, tree_votes)
 
 
+def _category_counts(schema):
+    """Each feature's category count, as read_trees takes them."""
+    return [len(spec.categories) for spec in schema.specs]
+
+
 def _random_tri_dataset(tri_schema, rng, n=20):
     X = np.column_stack([
         np.round(rng.integers(18, 40, size=n) + rng.integers(0, 2, size=n) * 0.5, 1),
@@ -64,7 +69,7 @@ def test_threshold_lies_between_the_two_values_it_separates(small_schema, low,
 
 def test_sentinel_routes_past_years_since_threshold(tri_schema):
     tree = tree_from_lines(["split 2 <= 30.0", "leaf 1.0,0.0,0.0",
-                            "leaf 0.0,0.0,1.0"], 3, tri_schema.n_features)
+                            "leaf 0.0,0.0,1.0"], 3, _category_counts(tri_schema))
     assert tree.rule == SplitRule(feature_index=2, threshold=30.0)
     dist = predict_tree(tree, [0, 0, 100.0, 0, 0])
     assert dist[2] == 1.0  # sentinel 100 > 30: no-history row goes right
@@ -186,7 +191,7 @@ def test_node_line_round_trip(tri_schema):
     ds = _random_tri_dataset(tri_schema, np.random.default_rng(41), n=60)
     tree = train_tree(ds, (1.0, 1.0, 2.0), min_leaf=2, max_depth=6, seed=8)
     lines = tree_lines(tree)
-    again = tree_from_lines(lines, 3, tri_schema.n_features)
+    again = tree_from_lines(lines, 3, _category_counts(tri_schema))
     assert tree_lines(again) == lines
     for row in ds.X[:20]:
         assert predict_tree(again, row) == pytest.approx(predict_tree(tree, row))
@@ -201,7 +206,7 @@ def test_tree_apply_agrees_with_predict(tri_schema):
 
 
 def test_tree_vote_tie_breaks_toward_lower_risk():
-    leaf = tree_from_lines(["leaf 1.0,0.0,1.0"], 3, 1)
+    leaf = tree_from_lines(["leaf 1.0,0.0,1.0"], 3, [0])
     assert tree_votes(leaf, np.zeros((1, 3)))[0] == 2  # Low over High
 
 
@@ -290,7 +295,7 @@ def test_trained_table_equals_table_parsed_from_its_node_lines(
     root = train_tree(ds, weights, feature_subset_size=subset_size,
                       min_leaf=min_leaf, max_depth=depth, seed=seed)
     table = root.table
-    parsed = read_trees(write_trees(table), 0, 3, _MIXED.n_features)
+    parsed = read_trees(write_trees(table), 0, 3, _category_counts(_MIXED))
     for name in ("feature", "start", "width", "left", "right", "threshold",
                  "members", "member_node", "member_code", "weights", "roots",
                  "vote"):
@@ -341,7 +346,7 @@ def test_wide_category_splits_match_prefix_oracle(seed, weights, min_leaf, depth
         assert dist == pytest.approx(oracle_tree_predict(oracle, row), abs=1e-12)
 
 
-def _truncate(node, depth):
+def _truncate(node, depth, schema):
     """The top ``depth`` levels of a tree; cut subtrees become leaves."""
     def total(n):
         return n.class_weights if n.is_leaf else total(n.left) + total(n.right)
@@ -356,7 +361,7 @@ def _truncate(node, depth):
                 + lines(n.left, d - 1) + lines(n.right, d - 1))
 
     return tree_from_lines(lines(node, depth), node.table.weights.shape[1],
-                           node.table.n_columns)
+                           _category_counts(schema))
 
 
 def test_shallow_tree_is_top_of_deeper_tree(schema):
@@ -366,7 +371,7 @@ def test_shallow_tree_is_top_of_deeper_tree(schema):
         shallow = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k, seed=11)
         deeper = train_tree(ds, (2.0, 1.0, 1.0), min_leaf=2, max_depth=k + 1,
                             seed=11)
-        assert tree_lines(shallow) == tree_lines(_truncate(deeper, k))
+        assert tree_lines(shallow) == tree_lines(_truncate(deeper, k, schema))
 
 
 def test_level_blocks_do_not_change_the_tree(schema, monkeypatch):
