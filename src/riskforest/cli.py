@@ -49,7 +49,8 @@ _BORROWED = {
     "data.synth": ("VALIDATION_MARGINALS", "generate_synthetic",
                    "generate_two_group"),
     "data.privacy": ("k_anonymity",),
-    "fairness": ("ALL_CHECKS", "GroupedOutcomes", "impossibility_search"),
+    "fairness": ("ALL_CHECKS", "GroupOutcome", "GroupedOutcomes",
+                 "impossibility_search"),
     "forest": ("ForestConfig", "load_forest", "oob_predict",
                "predict_dataset", "save_forest", "train_forest"),
     "metrics": ("ConfusionMatrix", "confusion_from_predictions",
@@ -89,11 +90,6 @@ class _EnvText(str):
         return value
 
 
-def _env(name: str, fallback=None):
-    text = os.environ.get(ENV_PREFIX + name)
-    return fallback if text is None else _EnvText(text, ENV_PREFIX + name)
-
-
 def _source(text: str) -> str:
     """`` from VARIABLE`` when the text came from the environment."""
     return f" from {text.variable}" if isinstance(text, _EnvText) else ""
@@ -101,7 +97,7 @@ def _source(text: str) -> str:
 
 def _env_flag(name: str) -> bool:
     """A boolean environment variable: unset, 0/false/no or 1/true/yes."""
-    text = _env(name, "0")
+    text = os.environ.get(ENV_PREFIX + name, "0")
     value = {"0": False, "false": False, "no": False,
              "1": True, "true": True, "yes": True}.get(text.strip().lower())
     if value is None:
@@ -169,6 +165,14 @@ def _write_reports(out_dir: Path, stem: str, args, result: dict,
           "```json", json.dumps(header, indent=2, sort_keys=True), "```", "",
           markdown_body.rstrip(), ""]
     (out_dir / f"{stem}.md").write_text("\n".join(md), encoding="utf-8")
+
+
+def _metric_report(schema, predicted, actual):
+    """The confusion matrix and MetricReport of two label-index vectors."""
+    names = schema.label_set
+    cm = confusion_from_predictions([names[v] for v in predicted],
+                                    [names[v] for v in actual], names)
+    return cm, derive_metrics(cm, names[0], names[-1])
 
 
 def _load_schema(args) -> FeatureSchema:
@@ -291,10 +295,7 @@ def cmd_train(args) -> int:
     body = [f"Trained {forest.config.n_trees} trees on {len(ds)} rows.",
             f"Rows with no out-of-bag estimate: {excluded}."]
     if have.any():
-        pred_names = [schema.label_set[v] for v in oob_labels[have]]
-        act_names = [schema.label_set[v] for v in ds.y[have]]
-        cm = confusion_from_predictions(pred_names, act_names, schema.label_set)
-        oob = derive_metrics(cm, schema.label_set[0], schema.label_set[-1])
+        _, oob = _metric_report(schema, oob_labels[have], ds.y[have])
         result["oob_overall_accuracy"] = oob.overall_accuracy
         result["oob_report"] = oob.to_dict()
         body.append(f"Out-of-bag overall accuracy: {oob.overall_accuracy:.4f}.")
@@ -338,10 +339,7 @@ def cmd_evaluate(args) -> int:
     forest = load_forest(args.model, schema)
     ds = load_csv(args.data, schema)
     pred, _ = predict_dataset(forest, ds)
-    pred_names = [schema.label_set[v] for v in pred]
-    act_names = [schema.label_set[v] for v in ds.y]
-    cm = confusion_from_predictions(pred_names, act_names, schema.label_set)
-    report = derive_metrics(cm, schema.label_set[0], schema.label_set[-1])
+    cm, report = _metric_report(schema, pred, ds.y)
     out.mkdir(parents=True, exist_ok=True)
     cm.to_csv(out / "confusion.csv")
     _write_reports(out, "metrics", args,
@@ -371,11 +369,9 @@ def cmd_audit(args) -> int:
     group_values = sorted(set(ds.groups))
     if len(group_values) < 2:
         raise DataError("audit needs at least two groups in the data")
-    preds_by_group = {
-        g: (pred_names[ds.groups == g], act_names[ds.groups == g])
-        for g in group_values
-    }
-    grouped = GroupedOutcomes.from_predictions(preds_by_group, positive)
+    rows = {g: ds.groups == g for g in group_values}
+    grouped = GroupedOutcomes({g: GroupOutcome(act_names[r], pred_names[r], scores[r])
+                               for g, r in rows.items()}, positive)
     verdicts = [check(grouped, args.epsilon) for check in ALL_CHECKS]
 
     def fmt(value):
@@ -399,17 +395,12 @@ def cmd_audit(args) -> int:
                         " | ".join("" for _ in group_values) + " | | |")
 
     result = {"epsilon": args.epsilon, "positive_label": positive,
-              "groups": {str(g): int((ds.groups == g).sum()) for g in group_values},
+              "groups": {str(g): int(r.sum()) for g, r in rows.items()},
               "verdicts": [v.to_dict() for v in verdicts]}
 
     if len(group_values) == 2:
-        scores_by_group = {
-            g: (scores[ds.groups == g], act_names[ds.groups == g])
-            for g in group_values
-        }
-        searchable = GroupedOutcomes.from_scores(scores_by_group, positive)
         try:
-            imp = impossibility_search(searchable, args.epsilon)
+            imp = impossibility_search(grouped, args.epsilon)
             result["impossibility"] = imp.to_dict()
             body += ["",
                      f"Joint threshold search over {imp.pairs_scanned} pairs:"
@@ -480,56 +471,57 @@ def build_parser() -> argparse.ArgumentParser:
     # first.
     csv_layers = ("data.schema", "data.dataset")
 
+    def option(p, flag, default=None, **kwargs):
+        """Add ``flag``, read from RISKFOREST_<FLAG> if set, else ``default``."""
+        variable = ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
+        text = os.environ.get(variable)
+        if text is not None:
+            default = _EnvText(text, variable)
+        p.add_argument(flag, default=default, **kwargs)
+
     def common(p, *, data=True, seed=False, model=False, epsilon=False):
-        p.add_argument("--schema", default=_env("SCHEMA"),
-                       help="schema file (default: bundled custody schema)")
-        p.add_argument("--group", default=_env("GROUP"),
-                       help="treat this column as the protected-group attribute")
+        option(p, "--schema", help="schema file (default: bundled custody schema)")
+        option(p, "--group", help="treat this column as the protected-group attribute")
         if data:
-            p.add_argument("--data", default=_env("DATA"), help="dataset CSV")
-        p.add_argument("--out", default=_env("OUT"), help="output directory")
+            option(p, "--data", help="dataset CSV")
+        option(p, "--out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=_seed, default=_env("SEED"))
+            option(p, "--seed", type=_seed)
         if model:
-            p.add_argument("--model", default=_env("MODEL"),
-                           help="serialized forest file")
+            option(p, "--model", help="serialized forest file")
         if epsilon:
-            p.add_argument("--epsilon", type=_epsilon,
-                           default=_env("EPSILON", "0.05"))
+            option(p, "--epsilon", "0.05", type=_epsilon)
 
     p = sub.add_parser("reproduce-tables",
                        help="recompute the bundled fixture figures and diff"
                             " them against the published ones")
-    p.add_argument("--fixture-dir", default=_env("FIXTURE_DIR"))
-    p.add_argument("--out", default=_env("OUT"))
+    option(p, "--fixture-dir")
+    option(p, "--out")
     p.set_defaults(func=cmd_reproduce_tables,
                    layers=("data.schema", "metrics", "reference"),
                    required=("out",))
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     common(p, data=False, seed=True)
-    p.add_argument("--n", type=_integer, default=_env("N", "10000"))
-    p.add_argument("--signal", type=_number, default=_env("SIGNAL", "0.8"))
-    p.add_argument("--marginals", default=_env("MARGINALS"))
+    option(p, "--n", "10000", type=_integer)
+    option(p, "--signal", "0.8", type=_number)
+    option(p, "--marginals")
     p.add_argument("--two-group", action="store_true",
                    help="plant a high-risk base-rate gap between two groups"
                         " (or set RISKFOREST_TWO_GROUP=1)")
-    p.add_argument("--group-gap", type=_number, default=_env("GROUP_GAP"),
-                   help="the gap --two-group plants (default 0.2)")
+    option(p, "--group-gap", type=_number,
+           help="the gap --two-group plants (default 0.2)")
     p.set_defaults(func=cmd_generate, layers=(*csv_layers, "data.synth"),
                    required=("out", "seed"))
 
     p = sub.add_parser("train", help="train a forest and report OOB accuracy")
     common(p, seed=True)
-    p.add_argument("--trees", type=_integer, default=_env("TREES", "509"))
-    p.add_argument("--weights", default=_env("WEIGHTS"),
-                   help="comma-separated per-label class weights")
-    p.add_argument("--min-leaf", type=_integer, default=_env("MIN_LEAF", "5"))
-    p.add_argument("--max-depth", type=_integer, default=_env("MAX_DEPTH", "16"))
-    p.add_argument("--feature-subset", type=_integer,
-                   default=_env("FEATURE_SUBSET"))
-    p.add_argument("--bootstrap-size", type=_integer,
-                   default=_env("BOOTSTRAP_SIZE"))
+    option(p, "--trees", "509", type=_integer)
+    option(p, "--weights", help="comma-separated per-label class weights")
+    option(p, "--min-leaf", "5", type=_integer)
+    option(p, "--max-depth", "16", type=_integer)
+    option(p, "--feature-subset", type=_integer)
+    option(p, "--bootstrap-size", type=_integer)
     p.set_defaults(func=cmd_train, layers=(*csv_layers, "forest", "metrics"),
                    required=("out", "seed", "data"))
 
@@ -551,14 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="random-guesser accuracy for marginals")
     common(p)
-    p.add_argument("--marginals", default=_env("MARGINALS"))
+    option(p, "--marginals")
     p.set_defaults(func=cmd_baseline,
                    layers=(*csv_layers, "data.synth", "metrics"), required=("out",))
 
     p = sub.add_parser("k-anon", help="k-anonymity of a dataset")
     common(p)
-    p.add_argument("--quasi", default=_env("QUASI"),
-                   help="comma-separated quasi-identifier columns")
+    option(p, "--quasi", help="comma-separated quasi-identifier columns")
     p.set_defaults(func=cmd_k_anon, layers=(*csv_layers, "data.privacy"),
                    required=("out", "data", "quasi"))
 

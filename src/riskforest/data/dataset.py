@@ -4,6 +4,9 @@ A Dataset is immutable after construction: its arrays are marked
 read-only so every tree trained on it can share them. Feature values
 live in a float matrix; categorical and binary cells are stored as
 category indices, years-since "no history" as the literal sentinel code.
+One schema check, ``FeatureSchema.check_rows``, judges the values of a
+parsed CSV chunk, a Dataset's matrix and a scored row alike; the CSV
+parser only converts cell text.
 """
 
 from __future__ import annotations
@@ -112,10 +115,7 @@ class ColumnRanks:
 
 
 def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> None:
-    if X.ndim != 2 or X.shape[1] != schema.n_features:
-        raise DataError(
-            f"feature matrix is {X.shape}, schema has {schema.n_features} features"
-        )
+    schema.check_rows(X)
     n = X.shape[0]
     if y.shape != (n,):
         raise DataError("label vector length does not match row count")
@@ -124,7 +124,6 @@ def _validate(schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups) -> No
         raise DataError(f"label index out of range at row {bad}", row=bad)
     if groups is not None and len(groups) != n:
         raise DataError("group vector length does not match row count")
-    schema.check_rows(X)
 
 
 # -- CSV ---------------------------------------------------------------
@@ -151,7 +150,8 @@ CSV_CHUNK_ROWS = 128
 def _parse_csv(path, schema: FeatureSchema, require_label: bool):
     """Column by column, in chunks of rows. The first bad input in file
     order (row, then the row's cells in schema order, then its label)
-    raises the DataError a row-by-row read would."""
+    raises the DataError a row-by-row read would, with the reason
+    encode_cell gives for the bad cell's text."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = _read_records(path, reader, 1)
@@ -192,14 +192,27 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
                 errors.append((r, -1, DataError(
                     f"row {r}: expected {len(header)} cells,"
                     f" got {len(chunk[bad[0]])}", row=r)))
-            block = np.empty((len(good), schema.n_features))
+            # A cell after its column's first conversion fault stays 0,
+            # which every kind accepts, so check_rows names only real faults.
+            block = np.zeros((len(good), schema.n_features))
+            cells = [columns[col_of[spec.name]] for spec in schema.specs]
+            faults = []  # (index in the chunk, column) of bad cells
             for j, spec in enumerate(schema.specs):
-                fault = _encode_column(spec, columns[col_of[spec.name]],
-                                       block[:, j])
-                if fault is not None:
-                    r = done + fault[0] + 1
+                i = _encode_column(spec, cells[j], block[:, j])
+                if i is not None:
+                    faults.append((i, j))
+            try:
+                schema.check_rows(block)
+            except DataError as exc:
+                faults.append((exc.row, schema.spec_index(exc.column)))
+            if faults:
+                i, j = min(faults)
+                spec, r = schema.specs[j], done + i + 1
+                try:
+                    encode_cell(spec, cells[j][i])
+                except ValueError as exc:
                     errors.append((r, j, DataError(
-                        f"row {r}, column {spec.name}: {fault[1]}",
+                        f"row {r}, column {spec.name}: {exc}",
                         row=r, column=spec.name)))
             if has_label:
                 codes, fault = _encode_labels(schema, columns[col_of[LABEL_COLUMN]])
@@ -236,38 +249,30 @@ def _read_records(path, reader, n: int) -> list[list[str]]:
 
 
 def _encode_column(spec: FeatureSpec, cells, out: np.ndarray):
-    """Write encode_cell of each cell into ``out``; return None, or the
-    (index, reason) of the first cell encode_cell rejects.
+    """Write the value of each cell's text into ``out``, unjudged; return
+    None, or the index of the first cell encode_cell refuses.
 
-    Most columns convert in one pass of C-level conversions plus one
-    vectorised check. A column that fails it (a blank, an unknown or
-    padded category, a bad value) is walked cell by cell with
-    encode_cell, which also finds the bad cell and its reason.
+    Most columns convert in one pass of C-level conversions. A column that
+    fails it (a blank, an unknown or padded category, a malformed number)
+    is walked cell by cell with encode_cell up to its first refused cell.
     """
     try:
         if spec.kind in SUBSET_KINDS:
             codes = {c: float(i) for i, c in enumerate(spec.categories)}
-            out[:] = np.fromiter(map(codes.__getitem__, cells), dtype=float,
-                                 count=len(cells))
-            return None
-        if spec.kind == "count":
-            out[:] = np.fromiter(map(float, map(int, cells)), dtype=float,
-                                 count=len(cells))
-            ok = out >= 0
+            values = map(codes.__getitem__, cells)
+        elif spec.kind == "count":
+            values = map(float, map(int, cells))
         else:
-            out[:] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-            ok = np.isfinite(out)
-            if spec.kind == "years-since":
-                ok &= out >= 0
-        if ok.all():
-            return None
+            values = map(float, cells)
+        out[:] = np.fromiter(values, dtype=float, count=len(cells))
+        return None
     except (KeyError, ValueError, OverflowError):
         pass
     for i, cell in enumerate(cells):
         try:
             out[i] = encode_cell(spec, cell)
-        except ValueError as exc:
-            return i, str(exc)
+        except ValueError:
+            return i
     return None
 
 

@@ -2,9 +2,11 @@
 
 A schema is an ordered list of feature specs plus an ordered label set.
 It drives CSV parsing, value validation, synthetic generation, and the
-kind of split predicate a tree may apply to each column. Labels are
-ordered from highest to lowest risk; vote tie-breaking and the
-dangerous/cautious error roles rely on that ordering.
+kind of split predicate a tree may apply to each column. One check,
+``FeatureSchema.check_rows``, applies the kind rules to every row matrix:
+a parsed CSV chunk, a ``Dataset``'s rows and a row ``predict_forest``
+scores. Labels are ordered from highest to lowest risk; vote tie-breaking
+and the dangerous/cautious error roles rely on that ordering.
 
 Schemas serialize to a small line-oriented text format, one feature per
 line, so they stay hand-editable:
@@ -151,10 +153,13 @@ class FeatureSchema:
         return least, greatest, fractional
 
     def check_rows(self, X: np.ndarray) -> None:
-        """Refuse the first cell of a (rows, n_features) float matrix, in row
-        then column order, that breaks its kind's rule: values finite, counts
-        and years not negative, counts and category codes whole, codes below
-        the category count. The DataError names the row and the feature."""
+        """Refuse a float matrix that is not (rows, n_features), or else its
+        first cell, in row then column order, that breaks its kind's rule:
+        values finite, counts and years not negative, counts and category
+        codes whole, codes below the category count, naming row and feature."""
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DataError(f"feature matrix is {X.shape},"
+                            f" schema has {self.n_features} features")
         least, greatest, fractional = self._cell_bounds
         # A NaN fails every comparison, so it is refused with the rest.
         ok = (X >= least) & (X <= greatest) & ((X == np.floor(X)) | fractional)

@@ -23,7 +23,6 @@ label (labels are ordered highest risk first).
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import pickle
 import signal
@@ -31,10 +30,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data.dataset import MAX_ROWS, Dataset, split_holdout
+from .data.dataset import Dataset, split_holdout
 from .data.schema import FeatureSchema
 from .errors import CalibrationError, DataError, FingerprintMismatchError
-from .tree import (NodeTable, default_feature_subset_size, read_trees, train_tree,
+from .tree import (NodeTable, check_class_weights, check_setting,
+                   default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
 FOREST_FORMAT_LINE = "riskforest-forest v4"
@@ -49,11 +49,9 @@ COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 WORKER_MIN_DRAWS = 1 << 13
 
 
-def _class_weights(weights) -> tuple[float, ...]:
-    cw = tuple(float(w) for w in weights)
-    if not all(0 < w < math.inf for w in cw):
-        raise DataError("class weights must be finite and positive")
-    return cw
+#: The least value of each integer setting, a ForestConfig or Forest field.
+_LEAST = {"n_trees": 1, "feature_subset_size": 1, "min_leaf": 1,
+          "max_depth": 1, "master_seed": 0, "bootstrap_size": 1, "n_train": 1}
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,13 @@ class ForestConfig:
     bootstrap_size: int | None = None  # training-set size when None
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise DataError("n_trees must be >= 1")
-        if self.bootstrap_size is not None:
-            if self.bootstrap_size < 1:
-                raise DataError("bootstrap_size must be >= 1")
-            if self.bootstrap_size > MAX_ROWS:
-                raise DataError(f"bootstrap_size {self.bootstrap_size} exceeds"
-                                f" the largest array size {MAX_ROWS}")
-        if self.feature_subset_size is not None and self.feature_subset_size < 1:
-            raise DataError("feature_subset_size must be >= 1")
-        if self.class_weights is not None:
-            object.__setattr__(self, "class_weights",
-                               _class_weights(self.class_weights))
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.default is None:
+                continue  # resolved() fills it in from the data
+            object.__setattr__(self, field.name, (
+                check_class_weights(value) if field.name == "class_weights"
+                else check_setting(field.name, value, _LEAST[field.name])))
 
     def resolved(self, data: Dataset) -> "ForestConfig":
         """Fill data-dependent defaults so the config is fully explicit."""
@@ -282,16 +274,9 @@ def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
 
 
 def predict_forest(forest: Forest, row):
-    """Plurality label and the per-label vote tally for one row.
-
-    The row is refused as a Dataset would refuse it: it must hold one
-    value per feature of the forest's schema, and each value must keep the
-    rules of its feature's kind (``FeatureSchema.check_rows``).
-    """
+    """Plurality label and the per-label vote tally for one row, which
+    ``FeatureSchema.check_rows`` refuses as it would a Dataset's row."""
     X = np.asarray(row, dtype=float).reshape(1, -1)
-    if X.shape[1] != forest.n_features:
-        raise DataError(f"row has {X.shape[1]} values, the model"
-                        f" {forest.n_features} features")
     forest.schema.check_rows(X)
     votes = forest_votes(forest, X)
     tally = tally_votes(votes, forest.n_labels)[0]
@@ -387,8 +372,9 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig,
     CalibrationError, carrying the sweep, when no grid point produces
     both error types.
     """
-    if target_ratio <= 0:
-        raise DataError("target_ratio must be positive")
+    if not 0 < target_ratio < np.inf:  # also false for NaN
+        raise DataError(f"target_ratio must be a finite number > 0,"
+                        f" got {target_ratio!r}")
     cfg = config.resolved(data)
     train_part, eval_part = split_holdout(data, 0.5, cfg.master_seed)
     points = []
@@ -437,24 +423,20 @@ def save_forest(forest: Forest, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _positive_int(text: str, limit=math.inf) -> int:
-    value = int(text)
-    if not 1 <= value <= limit:
-        raise ValueError(text)
-    return value
-
-
-def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 def _hex16(text: str) -> str:
     if len(text) != 16 or text.strip("0123456789abcdef"):
         raise ValueError(text)
     return text
+
+
+def _integer_reader(key: str):
+    """The header reader of integer setting ``key``; any fault is a ValueError."""
+    def read(text: str) -> int:
+        try:
+            return check_setting(key, int(text), _LEAST[key])
+        except DataError:
+            raise ValueError(text) from None
+    return read
 
 
 # The header lines of a forest document, in the order save_forest writes
@@ -464,14 +446,14 @@ def _hex16(text: str) -> str:
 # labels and feature count are the schema's, which the fingerprint names.
 _HEADER = {
     "fingerprint": _hex16,
-    "n_trees": _positive_int,
-    "class_weights": lambda text: _class_weights(text.split(",")),
-    "feature_subset_size": _positive_int,
-    "min_leaf": _positive_int,
-    "max_depth": _positive_int,
-    "master_seed": _natural,
-    "bootstrap_size": lambda text: _positive_int(text, MAX_ROWS),
-    "n_train": _positive_int,
+    "n_trees": _integer_reader("n_trees"),
+    "class_weights": lambda text: check_class_weights(text.split(",")),
+    "feature_subset_size": _integer_reader("feature_subset_size"),
+    "min_leaf": _integer_reader("min_leaf"),
+    "max_depth": _integer_reader("max_depth"),
+    "master_seed": _integer_reader("master_seed"),
+    "bootstrap_size": _integer_reader("bootstrap_size"),
+    "n_train": _integer_reader("n_train"),
     "data_digest": _hex16,
 }
 _CONFIG_KEYS = tuple(f.name for f in fields(ForestConfig))

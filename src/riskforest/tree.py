@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data.dataset import ColumnRanks, Dataset
+from .data.dataset import MAX_ROWS, ColumnRanks, Dataset
 from .data.schema import NUMERIC_KINDS
 from .errors import DataError, SchemaError
 
@@ -131,6 +131,23 @@ def default_feature_subset_size(n_features: int) -> int:
     return ceil(sqrt(n_features))
 
 
+def check_class_weights(weights) -> tuple[float, ...]:
+    """The class weights as floats, each finite and positive."""
+    cw = tuple(float(w) for w in weights)
+    if not all(0 < w < inf for w in cw):
+        raise DataError("class weights must be finite and positive")
+    return cw
+
+
+def check_setting(name: str, value, least: int) -> int:
+    """An integer setting (not a bool) from ``least`` to MAX_ROWS, as an int."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and least <= value <= MAX_ROWS):
+        return int(value)
+    raise DataError(f"{name} {value!r} is not an integer from {least}"
+                    f" to {MAX_ROWS}")
+
+
 def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = None,
                min_leaf: int = 5, max_depth: int = 16, seed: int = 0,
                row_indices=None) -> TreeNode:
@@ -151,14 +168,13 @@ def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = N
     if cw.shape != (K,):
         raise DataError(f"need {K} class weights,"
                         f" got {cw.size if cw.ndim == 1 else cw.shape}")
-    if not ((cw > 0) & (cw < inf)).all():
-        raise DataError("class weights must be finite and positive")
+    check_class_weights(cw)
     d = data.schema.n_features
     m = default_feature_subset_size(d) if feature_subset_size is None else feature_subset_size
     if not 1 <= m <= d:
         raise DataError(f"feature_subset_size {m} outside [1, {d}]")
-    if min_leaf < 1 or max_depth < 1:
-        raise DataError("min_leaf and max_depth must be >= 1")
+    min_leaf = check_setting("min_leaf", min_leaf, 1)
+    max_depth = check_setting("max_depth", max_depth, 1)
     idx = (np.arange(len(data)) if row_indices is None
            else np.asarray(row_indices, dtype=np.int64))
     if idx.size == 0:

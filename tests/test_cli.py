@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from riskforest.cli import main
+from riskforest.cli import build_parser, main
 from riskforest.metrics import ConfusionMatrix
 from riskforest import fixture_path
 
@@ -100,6 +101,31 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == (f"usage error: --{flag} is required"
                                        f" (or set RISKFOREST_{flag.upper()})\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_every_option_of_every_verb_reads_its_environment_variable(
+        monkeypatch, capsys):
+    # --two-group is a switch that cmd_generate reads through _env_flag;
+    # test_two_group_env_on covers it.
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    for verb, sub in verbs.items():
+        options = [a for a in sub._actions
+                   if a.dest != "help" and a.dest != "two_group"]
+        assert options
+        for action in options:
+            flag, = action.option_strings
+            variable = "RISKFOREST_" + flag[2:].upper().replace("-", "_")
+            monkeypatch.setenv(variable, "7")
+            args = build_parser().parse_args([verb])
+            convert = action.type or str
+            assert getattr(args, action.dest) == convert("7"), (verb, flag)
+            if action.type is not None:  # a bad value names its variable
+                monkeypatch.setenv(variable, "x")
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([verb])
+                assert f"got 'x' from {variable}" in capsys.readouterr().err
+            monkeypatch.delenv(variable)
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

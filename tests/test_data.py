@@ -237,6 +237,21 @@ def test_dataset_reports_its_first_bad_cell_in_row_then_column_order(
     assert (err.value.row, err.value.column) == (0, "flag")
 
 
+def test_dataset_reports_a_bad_value_before_a_bad_label(tri_schema):
+    X = np.array([[25.0, 1, 3, 0, 0], [25.0, -1, 3, 0, 0]])
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [7, 0])
+    assert str(err.value) == "value -1.0 invalid for count feature priors"
+
+
+@pytest.mark.parametrize("X", [np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5))])
+def test_dataset_refuses_a_matrix_that_is_not_one_value_per_feature(tri_schema,
+                                                                    X):
+    with pytest.raises(DataError) as err:
+        Dataset(tri_schema, X, [0] * len(X))
+    assert str(err.value) == f"feature matrix is {X.shape}, schema has 5 features"
+
+
 def test_unlabeled_load(tmp_path, tri_schema):
     path = _write(tmp_path, "age,priors,recent,flag,area\n25,1,3,No,N\n")
     X, y, groups = load_unlabeled_csv(path, tri_schema)
@@ -451,6 +466,13 @@ _TRI_ROW = "25,1,3,No,N,High\n"
      1104, "priors"),
     ((_TRI_HEADER + _TRI_ROW + "25,1,3,No,N,High\n").encode() + b"\xe9\n",
      "{path}: not UTF-8 text (invalid continuation byte)", None, None),
+    # a value fault and a conversion fault: still the first in file order
+    (_TRI_HEADER + _TRI_ROW + "25,-1,3,No,N,High\nabc,1,3,No,N,High\n",
+     "row 2, column priors: negative count '-1'", 2, "priors"),
+    (_TRI_HEADER + _TRI_ROW + "abc,-1,3,No,N,High\n",
+     "row 2, column age: could not convert string to float: 'abc'", 2, "age"),
+    (_TRI_HEADER + _TRI_ROW + "25,-1,abc,No,N,High\n",
+     "row 2, column priors: negative count '-1'", 2, "priors"),
 ])
 def test_bad_cell_errors_name_row_column_and_reason(tmp_path, tri_schema, text,
                                                      message, row, column):
@@ -459,6 +481,50 @@ def test_bad_cell_errors_name_row_column_and_reason(tmp_path, tri_schema, text,
         load_csv(path, tri_schema)
     assert str(err.value) == message.format(path=path)
     assert (err.value.row, err.value.column) == (row, column)
+
+
+_CELL_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-.eEinfaNIF _", max_size=8),
+    st.sampled_from(["", " ", "null", " N/A ", "nan", "-inf", "1e400", "-0",
+                     " 7 ", "Yes", " No", "N", " S ", "OTHER", "ZZ",
+                     "1" * 400]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00"), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.integers(0, 4), text=_CELL_TEXT)
+def test_a_csv_cell_is_refused_exactly_when_encode_cell_refuses_it(
+        tmp_path_factory, tri_schema, column, text):
+    import csv
+
+    from riskforest.data.schema import encode_cell
+
+    row = ["25", "1", "3", "No", "N", "High"]
+    row[column] = text
+    path = tmp_path_factory.getbasetemp() / "one_cell.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([_TRI_HEADER.strip().split(","), row])
+    spec = tri_schema.specs[column]
+    try:
+        value = encode_cell(spec, text)
+    except ValueError as exc:
+        with pytest.raises(DataError) as err:
+            load_csv(path, tri_schema)
+        assert str(err.value) == f"row 1, column {spec.name}: {exc}"
+        assert (err.value.row, err.value.column) == (1, spec.name)
+    else:
+        assert load_csv(path, tri_schema).X[0, column] == value
+
+
+def test_unlabeled_load_refuses_a_negative_count_with_its_row_and_column(
+        tmp_path, tri_schema):
+    path = _write(tmp_path, "age,priors,recent,flag,area\n25,1,3,No,N\n"
+                            "25,-4,3,No,N\n")
+    with pytest.raises(DataError) as err:
+        load_unlabeled_csv(path, tri_schema)
+    assert str(err.value) == "row 2, column priors: negative count '-4'"
+    assert (err.value.row, err.value.column) == (2, "priors")
 
 
 def test_padded_blank_and_unknown_cells_encode_like_single_cells(tmp_path,

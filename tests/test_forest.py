@@ -462,3 +462,24 @@ def test_invalid_config_rejected():
             ForestConfig(class_weights=weights)
     with pytest.raises(DataError):
         ForestConfig(bootstrap_size=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("master_seed", -1), ("master_seed", 1.0), ("master_seed", True),
+    ("n_trees", 2.5), ("max_depth", 0), ("bootstrap_size", 1 << 63)])
+def test_config_refuses_a_setting_that_is_not_an_integer_in_range(key, value):
+    with pytest.raises(DataError) as err:
+        ForestConfig(**{key: value})
+    assert str(err.value) == (f"{key} {value!r} is not an integer from"
+                              f" {0 if key == 'master_seed' else 1}"
+                              f" to {(1 << 63) - 1}")
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan"), float("inf")])
+def test_calibration_refuses_a_target_that_is_not_a_finite_positive_number(
+        target):
+    data = generate_synthetic(hart_schema(), 40, VALIDATION_MARGINALS, 0.8, 1)
+    with pytest.raises(DataError) as err:
+        calibrate_cost_ratio(data, ForestConfig(n_trees=1), target)
+    assert str(err.value) == (f"target_ratio must be a finite number > 0,"
+                              f" got {target!r}")

@@ -321,6 +321,15 @@ def test_predict_forest_rejects_a_shorter_row(hart_forest):
         predict_forest(hart_forest, np.zeros(10))
 
 
+@pytest.mark.parametrize("width", [10, 37])
+def test_predict_forest_names_the_width_of_a_wrong_length_row(hart_forest,
+                                                              width):
+    with pytest.raises(DataError) as caught:
+        predict_forest(hart_forest, np.zeros(width))
+    assert str(caught.value) == (f"feature matrix is (1, {width}),"
+                                 f" schema has 34 features")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_predict_forest_refuses_a_non_finite_value(hart_forest, hart_data,
                                                    bad):
@@ -557,6 +566,9 @@ _LOAD_FAULTS = {
     "configuration value out of range": (
         lambda m: _replace(m, "min_leaf ", "min_leaf 0"),
         "bad min_leaf '0'"),
+    "negative master seed": (
+        lambda m: _replace(m, "master_seed ", "master_seed -1"),
+        "bad master_seed '-1'"),
     "bootstrap beyond any array": (
         lambda m: _replace(m, "bootstrap_size ", "bootstrap_size 1" + "0" * 23),
         "bad bootstrap_size '1" + "0" * 23 + "'"),
