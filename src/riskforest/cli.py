@@ -45,13 +45,13 @@ from .errors import (
 # one the verb calls.
 _BORROWED = {
     "data.schema": ("FeatureSchema", "fixture_path", "hart_schema"),
-    "data.dataset": ("Dataset", "load_csv", "load_unlabeled_csv", "write_csv"),
+    "data.dataset": ("load_csv", "load_unlabeled_csv", "write_csv"),
     "data.synth": ("VALIDATION_MARGINALS", "generate_synthetic",
                    "generate_two_group"),
     "data.privacy": ("k_anonymity",),
     "fairness": ("ALL_CHECKS", "GroupOutcome", "GroupedOutcomes",
                  "impossibility_search"),
-    "forest": ("ForestConfig", "load_forest", "oob_predict",
+    "forest": ("ForestConfig", "forest_tally", "load_forest", "oob_predict",
                "predict_dataset", "save_forest", "train_forest"),
     "metrics": ("ConfusionMatrix", "confusion_from_predictions",
                 "derive_metrics", "random_baseline"),
@@ -107,15 +107,17 @@ def _env_flag(name: str) -> bool:
 
 
 def _typed(convert, expected: str):
-    """An argparse type: ``convert`` a flag's text. Its error names what was
-    expected and, for a default read from the environment, the variable;
-    argparse names the flag."""
+    """An argparse type: ``convert`` a flag's text. Its error is the
+    DataError ``convert`` raised, or else names what was expected, and for
+    a default read from the environment names the variable; argparse names
+    the flag."""
     def parse(text: str):
         try:
             return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {expected}, got {text!r}{_source(text)}") from None
+        except ValueError as exc:
+            shown = exc if isinstance(exc, DataError) else (
+                f"expected {expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{shown}{_source(text)}") from None
     return parse
 
 
@@ -127,7 +129,10 @@ def _nonnegative(value):
 
 _integer = _typed(int, "an integer")
 _number = _typed(float, "a number")
-_seed = _typed(lambda text: _nonnegative(int(text)), "an integer >= 0")
+# A seed is an integer setting from 0, which check_setting judges; the two
+# verbs that take one load data.dataset anyway.
+_seed = _typed(lambda text: load(f"{__package__}.data.dataset").check_setting(
+    "seed", int(text), 0), "an integer")
 _epsilon = _typed(lambda text: _nonnegative(float(text)), "a finite number >= 0")
 
 
@@ -311,9 +316,9 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     schema = _load_schema(args)
     forest = load_forest(args.model, schema)
-    X, y, groups = load_unlabeled_csv(args.data, schema)
-    ds_like = Dataset(schema, X, np.zeros(len(X), dtype=np.int64), groups)
-    pred, tally = predict_dataset(forest, ds_like)
+    X, _, _ = load_unlabeled_csv(args.data, schema)  # checked as parsed
+    tally = forest_tally(forest, X)
+    pred = np.argmax(tally, axis=1)
     out.mkdir(parents=True, exist_ok=True)
     columns = [map(str, range(len(pred))),
                map(forest.labels.__getitem__, pred.tolist()),

@@ -32,6 +32,16 @@ from .schema import (
 MAX_ROWS = int(np.iinfo(np.intp).max)
 
 
+def check_setting(name: str, value, least: int) -> int:
+    """An integer setting (not a bool) from ``least`` to MAX_ROWS, as an int:
+    the one check of every forest setting and seed."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and least <= value <= MAX_ROWS):
+        return int(value)
+    raise DataError(f"{name} {value!r} is not an integer from {least}"
+                    f" to {MAX_ROWS}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     schema: FeatureSchema

@@ -7,9 +7,11 @@ config. The per-tree bootstrap membership is therefore never stored: it
 is drawn again from the seed when out-of-bag predictions need to know
 which trees never saw a row.
 
-All trees live in one flat node table (``tree.NodeTable``). A forest's
-prediction is one level-by-level gather over all its trees; out-of-bag
-prediction gathers tree by tree, over the rows each tree left out.
+All trees live in one flat node table (``tree.NodeTable``), and one
+kernel, ``forest_tally``, counts every vote: it gathers runs of
+consecutive trees, a few thousand nodes each, and adds each run's votes
+into one (rows, labels) tally. Out-of-bag voting runs each tree alone,
+over the rows its bootstrap left out.
 
 Since no tree depends on another, a large forest's trees grow in forked
 worker processes, one per available CPU; the forest is the same for any
@@ -30,10 +32,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data.dataset import Dataset, split_holdout
+from .data.dataset import Dataset, check_setting, split_holdout
 from .data.schema import FeatureSchema
 from .errors import CalibrationError, DataError, FingerprintMismatchError
-from .tree import (NodeTable, check_class_weights, check_setting,
+from .tree import (BLOCK_PAIRS, NodeTable, check_class_weights,
                    default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
@@ -246,31 +248,76 @@ def _worker_result(w: int, pid: int, pipe) -> list:
 # -- prediction ----------------------------------------------------------
 
 
+#: Nodes in a stretch of the node table: a run of the scoring kernel takes
+#: the consecutive trees whose first nodes share a stretch, so the nodes a
+#: gather block reads stay in cache.
+RUN_NODES = 1 << 13
+#: (tree, row) pairs a run holds at most, which bounds the votes it holds.
+RUN_PAIRS = 1 << 17
+
+
 def _check_fingerprint(schema: FeatureSchema, fingerprint: str) -> None:
     if schema.fingerprint() != fingerprint:
         raise FingerprintMismatchError(f"schema {schema.fingerprint()} does not"
                                        f" match the model's {fingerprint}")
 
 
-def forest_votes(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """(n_trees, n_rows) matrix of per-tree vote label indices."""
-    leaves = forest.table.leaves(X)
+def forest_votes(forest: Forest, X: np.ndarray, roots=None) -> np.ndarray:
+    """(len(roots), n_rows) vote label indices of the trees at ``roots``, by
+    default every tree: one run's votes."""
+    leaves = forest.table.leaves(X, roots)
     # Every leaf index is in range, so "clip" changes no vote; unlike the
     # default mode it writes into ``leaves`` without first buffering a
-    # second (n_trees, n_rows) array.
+    # second (trees, rows) array.
     return np.take(forest.table.vote, leaves, out=leaves, mode="clip")
 
 
-def tally_votes(votes: np.ndarray, n_labels: int) -> np.ndarray:
-    """(n_rows, K) vote counts from a (n_trees, n_rows) vote matrix.
+def tally_votes(votes: np.ndarray, n_labels: int, rows=slice(None),
+                n_rows: int | None = None) -> np.ndarray:
+    """(n_rows, K) vote counts from a (n_trees, m) vote matrix whose columns
+    vote on ``rows`` of ``n_rows`` rows; by default on all m rows of m.
 
     ``votes`` ends up holding each vote's (row, label) cell index, so no
-    second (n_trees, n_rows) array is made.
+    second (n_trees, m) array is made.
     """
-    n_rows = votes.shape[1]
-    votes += n_labels * np.arange(n_rows)
+    n_rows = votes.shape[1] if n_rows is None else n_rows
+    votes += n_labels * np.arange(n_rows)[rows]
     return np.bincount(votes.ravel(), minlength=n_rows * n_labels
                        ).reshape(n_rows, n_labels)
+
+
+def _runs(table: NodeTable, n_rows: int) -> list:
+    """The (roots, rows) runs of every tree over all ``n_rows`` rows: one
+    run if all (tree, row) pairs fit one BLOCK_PAIRS gather block, else the
+    trees of each stretch, at most RUN_PAIRS pairs a run."""
+    roots = table.roots
+    if len(roots) * n_rows <= BLOCK_PAIRS:
+        return [(roots, slice(None))]
+    stretch = np.arange(len(roots)) // max(1, RUN_PAIRS // n_rows)
+    cut = np.flatnonzero(np.diff(roots // RUN_NODES) | np.diff(stretch)) + 1
+    return [(part, slice(None)) for part in np.split(roots, cut)]
+
+
+def _oob_runs(forest: Forest):
+    """Each tree's run over the training rows its bootstrap, drawn again
+    from the seed, left out; none for a tree that left no row out."""
+    for t, root in enumerate(forest.table.roots):
+        out = np.ones(forest.n_train, dtype=bool)
+        out[bootstrap_rows(forest.config, t, forest.n_train)] = False
+        if out.any():  # leaves refuses an empty matrix
+            yield [root], np.flatnonzero(out)
+
+
+def forest_tally(forest: Forest, X: np.ndarray, runs=None) -> np.ndarray:
+    """(n_rows, K) vote counts of the row matrix X, the one scoring kernel:
+    in each (roots, rows) run, by default those of ``_runs``, the trees at
+    ``roots`` vote on ``rows`` of X, and the counts add into one tally."""
+    n, K = len(X), forest.n_labels
+    tally = np.zeros((n, K), dtype=np.intp)
+    for roots, rows in _runs(forest.table, n) if runs is None else runs:
+        # One statement, so a run's votes are freed before the next gather.
+        tally += tally_votes(forest_votes(forest, X[rows], roots), K, rows, n)
+    return tally
 
 
 def predict_forest(forest: Forest, row):
@@ -278,8 +325,7 @@ def predict_forest(forest: Forest, row):
     ``FeatureSchema.check_rows`` refuses as it would a Dataset's row."""
     X = np.asarray(row, dtype=float).reshape(1, -1)
     forest.schema.check_rows(X)
-    votes = forest_votes(forest, X)
-    tally = tally_votes(votes, forest.n_labels)[0]
+    tally = forest_tally(forest, X)[0]
     label = forest.labels[int(np.argmax(tally))]  # argmax ties -> higher risk
     return label, {name: int(c) for name, c in zip(forest.labels, tally)}
 
@@ -287,8 +333,7 @@ def predict_forest(forest: Forest, row):
 def predict_dataset(forest: Forest, data: Dataset):
     """(label indices, vote tallies) for every row; checks the fingerprint."""
     _check_fingerprint(data.schema, forest.fingerprint)
-    votes = forest_votes(forest, data.X)
-    tally = tally_votes(votes, forest.n_labels)
+    tally = forest_tally(forest, data.X)
     return np.argmax(tally, axis=1), tally
 
 
@@ -298,9 +343,6 @@ def oob_predict(forest: Forest, data: Dataset):
     Returns (labels, n_oob_trees) where n_oob_trees[i] counts the trees
     voting on row i. Raises FingerprintMismatchError unless ``data`` holds
     the rows the forest was trained on.
-
-    Each tree's in-bag rows are drawn again from the seed, and the tree
-    votes on the other rows only.
     """
     _check_fingerprint(data.schema, forest.fingerprint)
     if data_digest(data) != forest.data_digest:
@@ -311,15 +353,7 @@ def oob_predict(forest: Forest, data: Dataset):
         raise FingerprintMismatchError(
             f"dataset has {len(data)} rows, the model's training set"
             f" {forest.n_train}")
-    table = forest.table
-    tally = np.zeros((forest.n_train, forest.n_labels), dtype=np.intp)
-    for t, root in enumerate(table.roots):
-        out = np.ones(forest.n_train, dtype=bool)
-        out[bootstrap_rows(forest.config, t, forest.n_train)] = False
-        rows = np.flatnonzero(out)
-        if rows.size:  # leaves refuses an empty matrix
-            # A row appears once per tree, so the fancy-index add is exact.
-            tally[rows, table.vote[table.leaves(data.X[rows], [root])[0]]] += 1
+    tally = forest_tally(forest, data.X, _oob_runs(forest))
     oob_counts = tally.sum(axis=1)
     labels = np.argmax(tally, axis=1)
     labels[oob_counts == 0] = -1

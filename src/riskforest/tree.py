@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data.dataset import MAX_ROWS, ColumnRanks, Dataset
+from .data.dataset import ColumnRanks, Dataset, check_setting
 from .data.schema import NUMERIC_KINDS
 from .errors import DataError, SchemaError
 
@@ -137,15 +137,6 @@ def check_class_weights(weights) -> tuple[float, ...]:
     if not all(0 < w < inf for w in cw):
         raise DataError("class weights must be finite and positive")
     return cw
-
-
-def check_setting(name: str, value, least: int) -> int:
-    """An integer setting (not a bool) from ``least`` to MAX_ROWS, as an int."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and least <= value <= MAX_ROWS):
-        return int(value)
-    raise DataError(f"{name} {value!r} is not an integer from {least}"
-                    f" to {MAX_ROWS}")
 
 
 def train_tree(data: Dataset, class_weights, feature_subset_size: int | None = None,

@@ -538,6 +538,42 @@ def test_bad_seed_epsilon_or_marginals_exit_without_traceback_or_nan_report(
         json.loads(report.read_text(), parse_constant=_refuse_constant)
 
 
+@pytest.mark.parametrize("source", ["flag", "variable"])
+@pytest.mark.parametrize("argv", [("generate", "--n", "200"),
+                                  ("train", "--data", "{data}", "--trees", "2")],
+                         ids=["generate", "train"])
+def test_seed_beyond_the_setting_range_is_a_usage_error_in_both_verbs(
+        tmp_path, capsys, monkeypatch, two_group_model, argv, source):
+    # One range for every seed: the one a forest's master_seed must keep.
+    seed = str(2**63)
+    flags = ("--seed", seed) if source == "flag" else ()
+    if source == "variable":
+        monkeypatch.setenv("RISKFOREST_SEED", seed)
+    out = tmp_path / "out"
+    assert run(*(a.format(data=two_group_model[0]) for a in argv), *flags,
+               "--group", "Group", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: seed {seed} is not an integer from 0 to" in err
+    assert ("from RISKFOREST_SEED" in err) == (source == "variable")
+    assert not out.exists()
+
+
+def test_predict_verb_checks_each_row_once(tmp_path, monkeypatch, two_group_model):
+    from riskforest.data.schema import FeatureSchema
+
+    data, model = two_group_model
+    real, checked = FeatureSchema.check_rows, []
+
+    def counted(schema, X):
+        checked.append(len(X))
+        return real(schema, X)
+
+    monkeypatch.setattr(FeatureSchema, "check_rows", counted)
+    assert run("predict", "--model", str(model), "--data", str(data),
+               "--group", "Group", "--out", str(tmp_path / "pr")) == 0
+    assert sum(checked) == 300  # the rows of the CSV
+
+
 # -- a grouped CSV read without --group -------------------------------------
 
 

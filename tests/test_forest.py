@@ -23,6 +23,7 @@ from riskforest import (
     train_forest,
     train_tree,
 )
+import riskforest.forest as forest_module
 from riskforest.cli import main as cli_main
 from riskforest.errors import CalibrationError, DataError, FingerprintMismatchError
 from riskforest.forest import (
@@ -79,7 +80,6 @@ def test_bootstrap_absent_fraction_near_inverse_e():
 def test_train_forest_calls_train_tree_once_per_tree(small_data, monkeypatch):
     # perfbench's tracer wraps riskforest.forest.train_tree and walks each
     # root it returns through .left/.right to count the tree's nodes
-    import riskforest.forest as forest_module
 
     roots = []
 
@@ -154,7 +154,6 @@ def test_forest_below_the_threshold_never_forks(small_data, monkeypatch):
 
 def test_with_two_workers_this_process_grows_the_even_trees(small_data,
                                                             monkeypatch):
-    import riskforest.forest as forest_module
 
     seeds, roots = [], []
 
@@ -182,7 +181,6 @@ def test_with_two_workers_this_process_grows_the_even_trees(small_data,
 
 def _in_children(monkeypatch, act):
     """Patch train_tree to run ``act`` in forked workers only."""
-    import riskforest.forest as forest_module
 
     parent = os.getpid()
 
@@ -235,7 +233,6 @@ def test_worker_exception_is_raised_again_here(small_data, monkeypatch):
 
 def test_failure_in_this_process_share_reaps_every_worker(small_data,
                                                           monkeypatch):
-    import riskforest.forest as forest_module
 
     parent = os.getpid()
 
@@ -263,21 +260,59 @@ def test_tally_votes_equals_a_bincount_per_row(n_trees, n_rows, n_labels, seed):
     assert np.array_equal(tally_votes(votes, n_labels), want)
 
 
-def test_oob_predict_holds_no_trees_by_rows_matrix():
-    # Many shallow trees: one intp (trees x rows) vote matrix dwarfs what a
-    # tree-by-tree out-of-bag tally needs.
+@pytest.fixture(scope="module")
+def shallow_forest():
+    # Many shallow trees, few enough nodes for one run of RUN_NODES: one
+    # intp (trees x rows) vote matrix dwarfs what a run-by-run tally needs.
     data = generate_synthetic(hart_schema(), 2000, VALIDATION_MARGINALS, 0.8, 9)
-    forest = train_forest(data, ForestConfig(n_trees=200, max_depth=2,
-                                             master_seed=4))
-    matrix_bytes = forest.config.n_trees * len(data) * np.dtype(np.intp).itemsize
-    oob_predict(forest, data)  # first-call allocations are not the property
+    return data, train_forest(data, ForestConfig(n_trees=200, max_depth=2,
+                                                 master_seed=4))
+
+
+def _traced_peak(score, forest, data) -> int:
+    score(forest, data)  # first-call allocations are not the property
     tracemalloc.start()
     try:
-        oob_predict(forest, data)
+        score(forest, data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < matrix_bytes
+    return peak
+
+
+def test_oob_predict_holds_no_trees_by_rows_matrix(shallow_forest):
+    data, forest = shallow_forest
+    matrix_bytes = forest.config.n_trees * len(data) * np.dtype(np.intp).itemsize
+    assert _traced_peak(oob_predict, forest, data) < matrix_bytes
+
+
+def test_predict_dataset_holds_no_trees_by_rows_matrix(shallow_forest):
+    data, forest = shallow_forest
+    assert len(forest.table.right) < forest_module.RUN_NODES
+    matrix_bytes = forest.config.n_trees * len(data) * np.dtype(np.intp).itemsize
+    assert _traced_peak(predict_dataset, forest, data) < matrix_bytes
+
+
+def test_one_row_is_one_gather_on_a_forest_of_many_runs(small_data,
+                                                        monkeypatch):
+    # With a run per tree, a batch gathers tree by tree, but a row's
+    # (tree, row) pairs fit one gather block: one run, as the tracer sees.
+    forest = train_forest(small_data, ForestConfig(n_trees=11, max_depth=4,
+                                                   master_seed=8))
+    real, calls = forest_module.forest_votes, []
+
+    def counted(forest, X, roots=None):
+        calls.append(len(X))
+        return real(forest, X, roots)
+
+    monkeypatch.setattr(forest_module, "RUN_NODES", 1)
+    monkeypatch.setattr(forest_module, "forest_votes", counted)
+    _, tally = predict_dataset(forest, small_data)
+    assert calls == [len(small_data)] * 11
+    calls.clear()
+    label, votes = predict_forest(forest, small_data.X[0])
+    assert calls == [1]
+    assert list(votes.values()) == tally[0].tolist()
 
 
 def _hand_forest(vote_labels, schema):

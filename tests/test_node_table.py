@@ -23,9 +23,10 @@ from riskforest import (
     split_holdout,
     train_forest,
 )
+import riskforest.forest as forest_module
 import riskforest.tree as tree_module
 from riskforest.errors import DataError, FingerprintMismatchError
-from riskforest.forest import forest_votes
+from riskforest.forest import forest_tally, forest_votes
 from riskforest.tree import BLOCK_PAIRS, TreeNode, predict_tree, read_trees
 from oracles import (forest_trees, leaves_oracle, oob_oracle, oracle_tree_predict,
                      replay_tree_predict, tree_apply, tree_depth, tree_from_lines,
@@ -215,6 +216,42 @@ def test_oob_predict_equals_the_plain_loop_oracle(tri_schema, seed, n_trees,
         n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
         bootstrap_size=bootstrap))
     labels, counts = oob_predict(forest, data)
+    want_labels, want_counts = oob_oracle(forest, data)
+    assert (counts == want_counts).all()
+    assert (labels == want_labels).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 12),
+       max_depth=st.integers(1, 6), bootstrap=st.sampled_from([20, 60, 240]),
+       run_nodes=st.sampled_from([1, 2, 5, 17, 64, 10**9]),
+       run_pairs=st.sampled_from([1, 100, forest_module.RUN_PAIRS]),
+       block=st.sampled_from([1, 5, 64, BLOCK_PAIRS]))
+def test_scoring_kernel_equals_per_tree_oracle_votes_for_any_run_size(
+        tri_schema, seed, n_trees, max_depth, bootstrap, run_nodes, run_pairs,
+        block):
+    # Runs from one node to the whole forest (10**9 nodes), and gather
+    # blocks from one pair up: every verb's tally is the sum of each tree's
+    # votes, and out-of-bag votes are the plain loop's.
+    data = _tri_data(tri_schema, seed)
+    forest = train_forest(data, ForestConfig(
+        n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
+        bootstrap_size=bootstrap))
+    table = forest.table
+    votes = table.vote[leaves_oracle(table, data.X)]
+    want = np.stack([(votes == k).sum(axis=0) for k in range(3)], axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "RUN_NODES", run_nodes)
+        patch.setattr(forest_module, "RUN_PAIRS", run_pairs)
+        for module in (forest_module, tree_module):
+            patch.setattr(module, "BLOCK_PAIRS", block)
+        assert (forest_tally(forest, data.X) == want).all()
+        pred, tally = predict_dataset(forest, data)
+        assert (tally == want).all() and (pred == np.argmax(want, axis=1)).all()
+        for i in range(0, len(data), 17):
+            _, row_tally = predict_forest(forest, data.X[i])
+            assert list(row_tally.values()) == want[i].tolist()
+        labels, counts = oob_predict(forest, data)
     want_labels, want_counts = oob_oracle(forest, data)
     assert (counts == want_counts).all()
     assert (labels == want_labels).all()
