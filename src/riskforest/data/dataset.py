@@ -87,19 +87,10 @@ class Dataset:
                        provenance=self.provenance)
 
     def rows_equal(self, other: "Dataset") -> bool:
-        return (
-            self.schema.fingerprint() == other.schema.fingerprint()
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-            and (
-                (self.groups is None and other.groups is None)
-                or (
-                    self.groups is not None
-                    and other.groups is not None
-                    and list(self.groups) == list(other.groups)
-                )
-            )
-        )
+        groups = [g if g is None else list(g) for g in (self.groups, other.groups)]
+        return (self.schema.fingerprint() == other.schema.fingerprint()
+                and np.array_equal(self.X, other.X)
+                and np.array_equal(self.y, other.y) and groups[0] == groups[1])
 
 
 class ColumnRanks:

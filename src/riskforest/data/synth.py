@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError, SchemaError
-from .dataset import MAX_ROWS, Dataset
+from .dataset import Dataset, check_setting
 from .schema import FeatureSchema, check_marginals, hart_schema
 
 #: Label marginals of the bundled validation-scale fixture
@@ -26,10 +26,7 @@ VALIDATION_MARGINALS = (0.1186, 0.4835, 0.3979)
 
 
 def _check_draw(n: int, signal_strength: float) -> None:
-    if n < 1:
-        raise DataError(f"row count {n} must be >= 1")
-    if n > MAX_ROWS:
-        raise DataError(f"row count {n} exceeds the largest array size {MAX_ROWS}")
+    check_setting("row count", n, 1)
     if not 0.0 <= signal_strength <= 1.0:
         raise DataError(f"signal_strength {signal_strength} outside [0, 1]")
 

@@ -39,7 +39,7 @@ from .tree import (BLOCK_PAIRS, NodeTable, check_class_weights,
                    default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
-FOREST_FORMAT_LINE = "riskforest-forest v4"
+FOREST_FORMAT_LINE = "riskforest-forest v5"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -536,11 +536,16 @@ def load_forest(path, schema: FeatureSchema) -> Forest:
         raise fail(2 + list(values).index("class_weights"),
                    f"{len(cfg.class_weights)} class weights for {schema.n_labels} labels")
     try:
-        table = read_trees(lines, pos, schema.n_labels,
+        table = read_trees(lines, pos, cfg.class_weights,
                            [len(spec.categories) for spec in schema.specs])
     except DataError as exc:
         raise fail(exc.row + 1, str(exc)) from None
     if table.n_trees != cfg.n_trees:  # read_trees ends at the last line
         raise fail(len(lines), f"{table.n_trees} trees, header says {cfg.n_trees}")
+    # Every bootstrap draw reaches one leaf; Python integers cannot overflow.
+    totals = np.add.reduceat(table.counts.sum(axis=1).astype(object), table.roots)
+    for t in np.flatnonzero(totals != cfg.bootstrap_size)[:1].tolist():
+        raise fail(pos + 1 + t + int(table.roots[t]), f"tree {t}'s leaf counts sum"
+                   f" to {totals[t]}, not the bootstrap size {cfg.bootstrap_size}")
     return Forest(config=cfg, schema=schema, table=table,
                   n_train=values["n_train"], data_digest=values["data_digest"])

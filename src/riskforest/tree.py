@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data.dataset import ColumnRanks, Dataset, check_setting
+from .data.dataset import MAX_ROWS, ColumnRanks, Dataset, check_setting
 from .data.schema import NUMERIC_KINDS
 from .errors import DataError, SchemaError
 
@@ -302,14 +302,14 @@ class _LevelGrower:
                                  minlength=n_nodes * K).reshape(n_nodes, K)
             weights = counts * self.cw
             if depth == max_depth:
-                levels.append((weights, None))
+                levels.append((counts, None))
                 break
             open_nodes = np.flatnonzero((sizes >= 2 * self.min_leaf)
                                         & (np.count_nonzero(counts, axis=1) > 1))
             starts = np.cumsum(sizes) - sizes
             found = self._search(rows, starts, sizes, open_nodes, counts,
                                  weights, keys)
-            levels.append((weights, found[:5]))
+            levels.append((counts, found[:5]))
             split, go_left = found[0], found[5]
             if split.size == 0:
                 break
@@ -320,7 +320,7 @@ class _LevelGrower:
             rows = rows[at][np.argsort(child, kind="stable")]
             sizes = np.bincount(child, minlength=2 * split.size)
             keys = _child_keys(keys[split])
-        return _pre_order_table(levels)
+        return _pre_order_table(levels, self.cw)
 
     def _search(self, rows, starts, sizes, nodes, counts, weights, keys):
         """(split, feature, threshold, codes, n_codes, go_left) for the level.
@@ -517,28 +517,28 @@ class _LevelGrower:
         return split, feature, threshold, codes, n_codes, go_left
 
 
-def _pre_order_table(levels) -> NodeTable:
-    """The one-tree NodeTable, in pre-order, of per-level (weights, splits):
+def _pre_order_table(levels, class_weights) -> NodeTable:
+    """The one-tree NodeTable, in pre-order, of per-level (counts, splits):
     the children of a level's j-th split are nodes 2j and 2j + 1 of the
     next. Subtree sizes run bottom-up, then positions top-down."""
     sizes = [np.ones(len(levels[-1][0]), dtype=np.intp)]
-    for level_weights, (split, *_) in reversed(levels[:-1]):
-        size = np.ones(len(level_weights), dtype=np.intp)
+    for level_counts, (split, *_) in reversed(levels[:-1]):
+        size = np.ones(len(level_counts), dtype=np.intp)
         size[split] += sizes[0][0::2] + sizes[0][1::2]
         sizes.insert(0, size)
     n = int(sizes[0][0])
     feature = np.zeros(n, dtype=np.intp)
     right = np.arange(n)  # a leaf points to itself
     threshold = np.full(n, np.nan)
-    weights = np.zeros((n, levels[0][0].shape[1]))
+    counts = np.zeros((n, levels[0][0].shape[1]), dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
     code_at, code = [none], [none]  # each member code's split, and the code
     pos = np.zeros(1, dtype=np.intp)  # each node's place in pre-order
-    for depth, (level_weights, found) in enumerate(levels[:-1]):
+    for depth, (level_counts, found) in enumerate(levels[:-1]):
         split, feat, thr, codes, n_codes = found
         leaf = np.ones(pos.size, dtype=bool)
         leaf[split] = False
-        weights[pos[leaf]] = level_weights[leaf]
+        counts[pos[leaf]] = level_counts[leaf]
         at = pos[split]
         feature[at] = feat
         threshold[at] = thr
@@ -546,9 +546,10 @@ def _pre_order_table(levels) -> NodeTable:
         code_at.append(np.repeat(at, n_codes))
         code.append(codes)
         pos = np.stack((at + 1, right[at]), axis=1).ravel()
-    weights[pos] = levels[-1][0]
+    counts[pos] = levels[-1][0]
     return NodeTable(feature=feature, right=right, threshold=threshold,
-                     weights=weights, roots=np.zeros(1, dtype=np.intp),
+                     counts=counts, class_weights=class_weights,
+                     roots=np.zeros(1, dtype=np.intp),
                      member_node=np.concatenate(code_at),
                      member_code=np.concatenate(code))
 
@@ -575,26 +576,26 @@ class NodeTable:
     ``children`` holds both: ``children[2 * i]`` is ``right[i]`` and
     ``children[2 * i + 1]`` is ``left[i]``, of which ``left`` is a view.
 
-    The constructor lays the members out as flags. ``members`` opens with
-    a False flag, then holds each subset split's flags in node order, each
-    block followed by a False flag: with ``s = start[i]`` and
-    ``w = width[i]`` (one past the largest member), ``members[s:s + w]``
-    flags categories 0..w-1, so any code clipped to [-1, w] reads a flag.
-    Other nodes have start 0 and width 0 and read the leading False flag.
+    The constructor lays the members out as flags. A subset split i on
+    column f flags ``w = width[i] = column_width[f]`` categories, one past
+    the largest member of any split on f: ``members[s:s + w]``, with
+    ``s = start[i]``, between two False flags, so a code clipped to
+    [-1, w] reads a flag. Other nodes have width 0 and start 1, amid
+    leading False flags that no code clipped to its column's width leaves.
 
-    ``weights[i]`` holds a leaf's class weights (zeros at splits) and
-    ``vote[i]`` its vote: the argmax of the normalised weights, ties broken
-    toward the lower-risk label (the higher label index). ``roots[t]`` is
-    tree t's first node and ``depth``, walked down from the roots, the
-    deepest leaf over all trees.
+    ``counts[i]`` holds a leaf's training cases per class (zeros at
+    splits), the derived ``weights[i] = counts[i] * class_weights`` its
+    class weights and ``vote[i]`` the argmax of the normalised weights,
+    ties broken toward the lower-risk label (the higher label index).
+    ``roots[t]`` is tree t's first node and ``depth``, walked down from the
+    roots, the deepest leaf over all trees.
     """
 
-    def __init__(self, feature, right, threshold, weights, roots,
+    def __init__(self, feature, right, threshold, counts, class_weights, roots,
                  member_node, member_code):
-        self.feature = feature
-        self.right = right
-        self.threshold = threshold
-        self.weights = weights
+        self.feature, self.right, self.threshold = feature, right, threshold
+        self.counts, self.class_weights = counts, np.asarray(class_weights, float)
+        self.weights = weights = counts * self.class_weights
         self.roots = roots
         order = np.lexsort((member_code, member_node))
         self.member_node = node = np.asarray(member_node, dtype=np.intp)[order]
@@ -605,13 +606,18 @@ class NodeTable:
                                         ).ravel()
         self.left = self.children[1::2]
 
-        last = np.flatnonzero(np.diff(node, append=-1))  # a split's largest code
+        splits = feature[~self.is_leaf]
+        self.n_columns = int(splits.max()) + 1 if splits.size else 0
+        self.column_width = np.zeros(self.n_columns, dtype=np.intp)
+        np.maximum.at(self.column_width, feature[node], code + 1)
         self.width = np.zeros(n, dtype=np.intp)
-        self.width[node[last]] = code[last] + 1
-        block = code[last] + 2  # the flags and a False one after them
-        self.start = np.zeros(n, dtype=np.intp)
-        self.start[node[last]] = 1 + np.cumsum(block) - block
-        self.members = np.zeros(1 + int(block.sum()), dtype=bool)
+        self.width[node] = self.column_width[feature[node]]
+        split = np.flatnonzero(self.width)  # the subset splits
+        block = self.width[split] + 1  # the flags and a False one after them
+        lead = int(self.column_width.max(initial=0)) + 2
+        self.start = np.ones(n, dtype=np.intp)
+        self.start[split] = lead + np.cumsum(block) - block
+        self.members = np.zeros(lead + int(block.sum()), dtype=bool)
         self.members[self.start[node] + code] = True
 
         self.depth, level = 0, roots
@@ -619,8 +625,6 @@ class NodeTable:
             self.depth += 1
             level = np.concatenate((level + 1, right[level]))
 
-        splits = feature[~self.is_leaf]
-        self.n_columns = int(splits.max()) + 1 if splits.size else 0
         leaf_w = weights[self.is_leaf]
         dist = leaf_w / leaf_w.sum(axis=1, keepdims=True)
         K = weights.shape[1]
@@ -629,7 +633,7 @@ class NodeTable:
 
     @classmethod
     def concatenate(cls, tables) -> NodeTable:
-        """The tables' trees in one table, in order."""
+        """The tables' trees, with the first one's class weights, in order."""
         n_nodes = np.array([len(t.right) for t in tables])
         node0 = np.cumsum(n_nodes) - n_nodes
 
@@ -639,7 +643,8 @@ class NodeTable:
             return whole + np.repeat(node0, list(map(len, parts))) if shift else whole
 
         return cls(feature=joined("feature"), right=joined("right", True),
-                   threshold=joined("threshold"), weights=joined("weights"),
+                   threshold=joined("threshold"), counts=joined("counts"),
+                   class_weights=tables[0].class_weights,
                    roots=joined("roots", True), member_code=joined("member_code"),
                    member_node=joined("member_node", True))
 
@@ -680,7 +685,7 @@ class NodeTable:
     def _descend(self, X, roots, r0: int, b: int, out: np.ndarray) -> None:
         """Move rows r0..r0+b-1 from every root to their leaves in ``out``.
 
-        The block's category codes are cast once, before the first level.
+        The block's codes are cast and clipped to [-1, column width] once.
         A pair at a leaf stays there, so the block stops once every pair
         sits at a leaf. It looks every second level: a look costs about a
         tenth of a level, and looking at every level was slower for one row.
@@ -689,12 +694,15 @@ class NodeTable:
         block = np.ascontiguousarray(X[r0:r0 + b]).ravel()
         codes = block.astype(np.intp)  # truncated like int()
         np.maximum(codes, -1, out=codes)
-        offsets = np.tile(np.arange(0, b * d, d), T)
+        head = codes.reshape(b, d)[:, :self.n_columns]  # the columns splits read
+        np.minimum(head, self.column_width, out=head)
+        offsets = np.empty(T * b, dtype=np.intp)  # np.tile costs more per call
+        offsets.reshape(T, b)[:] = np.arange(0, b * d, d)
         nodes = np.repeat(roots, b)
         for level in range(1, self.depth + 1):
             at = offsets + self.feature[nodes]
             go_left = block[at] <= self.threshold[nodes]
-            flag = np.minimum(codes[at], self.width[nodes])
+            flag = codes[at]
             flag += self.start[nodes]
             go_left |= self.members[flag]
             nodes += nodes  # 2 * node + go_left indexes ``children``
@@ -706,8 +714,8 @@ class NodeTable:
         out[:, r0:r0 + b] = nodes.reshape(T, b)
 
     def subtree_lines(self, root: int) -> list[str]:
-        """Pre-order node lines of node ``root`` and the nodes below it,
-        floats in repr round-trip form."""
+        """Pre-order node lines of node ``root`` and the nodes below it:
+        thresholds in repr round-trip form, leaf counts as ``str(int)``."""
         # In pre-order they run up to the leaf reached by always going right.
         last = root
         while not self.is_leaf[last]:
@@ -715,12 +723,12 @@ class NodeTable:
         span = range(root, int(last) + 1)
         nodes = slice(span.start, span.stop)
         lines = []
-        for i, f, width, leaf, thr, w in zip(
+        for i, f, width, leaf, thr, c in zip(
                 span, self.feature[nodes].tolist(), self.width[nodes].tolist(),
                 self.is_leaf[nodes].tolist(), self.threshold[nodes].tolist(),
-                self.weights[nodes].tolist()):
+                self.counts[nodes].tolist()):
             if leaf:
-                lines.append("leaf " + ",".join(map(repr, w)))
+                lines.append("leaf " + ",".join(map(str, c)))
             elif width:
                 lines.append(f"split {f} in "
                              + ",".join(map(str, self.subset(i))))
@@ -740,21 +748,24 @@ def write_trees(table: NodeTable) -> list[str]:
     return lines
 
 
-def read_trees(lines, first: int, n_labels: int, n_categories) -> NodeTable:
+def read_trees(lines, first: int, class_weights, n_categories) -> NodeTable:
     """The NodeTable of the trees write_trees wrote from ``lines[first]`` on:
-    ``tree t`` and tree t's node lines (``leaf w,..``, ``split f <= t`` or
+    ``tree t`` and tree t's node lines (``leaf c,..``, ``split f <= t`` or
     ``split f in c,..``) in pre-order, tree after tree, then ``end`` as the
-    last line. It checks the structure (trees in order, two subtrees per
-    split, no node after a finished tree), that leaf weights are finite and
-    nonnegative with a positive sum and thresholds finite, and that every
-    node fits the label count and ``n_categories``, which holds each
+    last line; leaf weights are the counts times ``class_weights``. It
+    checks the structure (trees in order, two subtrees per split, no node
+    after a finished tree), that leaf counts read as ``str(int)`` writes
+    them with a positive sum and finite weights, thresholds finite, and that
+    every node fits the label count and ``n_categories``, which holds each
     feature's category count (0 for a numeric kind), one per feature.
     A violation raises DataError whose ``row`` is the offending line's index.
     """
+    n_labels = len(class_weights)
+    most = int(min(MAX_ROWS, 1e308 / max(class_weights)))  # a finite weight sum
     # Typed buffers: a list of Python numbers takes four times the memory.
     feature, right, threshold = array("q"), array("q"), array("d")
     member_node, member_code = array("q"), array("q")
-    leaf_nodes, leaf_weights = array("q"), array("d")
+    leaf_rows, leaf_counts, leaf_chars = [], array("q"), array("q")
     roots: list[int] = []
     waiting: list[int] = []  # splits awaiting a right child
     tree_open = False  # whether a node may come next
@@ -776,8 +787,9 @@ def read_trees(lines, first: int, n_labels: int, n_categories) -> NodeTable:
             continue
         kind, _, rest = line.partition(" ")
         try:
-            if kind == "leaf":
-                w = [float(t) for t in rest.split(",")]
+            if kind == "leaf" and rest.isascii():  # int() reads other digits too
+                c = [*map(int, rest.split(","))]
+                leaf_counts.extend(c)  # OverflowError beyond 64 bits
             elif kind == "split":
                 f, op, arg = rest.split(" ")
                 f = int(f)
@@ -789,21 +801,18 @@ def read_trees(lines, first: int, n_labels: int, n_categories) -> NodeTable:
                     raise ValueError(op)
             else:
                 raise ValueError(kind)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise DataError(f"malformed node line {line!r}", row=row) from None
         if not tree_open:
             raise DataError("node after the end of its tree", row=row)
         if kind == "leaf":
-            if len(w) != n_labels:
-                raise DataError(f"leaf has {len(w)} class weights,"
+            if len(c) != n_labels:
+                raise DataError(f"leaf has {len(c)} class counts,"
                                 f" expected {n_labels}", row=row)
-            if not 0 < sum(w) < inf:  # also false when any weight is not finite
-                raise DataError("leaf class weights must be finite and sum to > 0",
-                                row=row)
-            if min(w) < 0:
-                raise DataError("leaf class weights must not be negative", row=row)
-            leaf_nodes.append(i)
-            leaf_weights.extend(w)
+            if not 0 < sum(c) <= most:
+                raise DataError(f"leaf class counts must sum to 1..{most}", row=row)
+            leaf_rows.append(row)
+            leaf_chars.append(len(rest))
             f, thr = 0, nan
             if waiting:
                 right[waiting.pop()] = i + 1
@@ -833,15 +842,25 @@ def read_trees(lines, first: int, n_labels: int, n_categories) -> NodeTable:
         raise DataError(f"tree {len(roots) - 1} ends before its last leaf", row=row)
     if row != len(lines) - 1:
         raise DataError("content after 'end'", row=row + 1)
+    leaf = np.frombuffer(leaf_counts, dtype=np.int64).reshape(-1, n_labels)
+    # int() also reads a sign, spaces, underscores and leading zeros, each a
+    # character more than the digits and commas str(int) writes.
+    digits = np.searchsorted(10 ** np.arange(1, 19), leaf, side="right").sum(axis=1)
+    longer = np.flatnonzero(np.frombuffer(leaf_chars, dtype=np.int64)
+                            != digits + 2 * n_labels - 1)
+    if longer.size:
+        row = leaf_rows[longer[0]]
+        raise DataError(f"malformed node line {lines[row]!r}", row=row)
 
     def ints(buffer):
         return np.frombuffer(buffer, dtype=np.int64).astype(np.intp)
 
-    weights = np.zeros((len(threshold), n_labels))
-    weights[ints(leaf_nodes)] = np.frombuffer(leaf_weights).reshape(-1, n_labels)
-    return NodeTable(feature=ints(feature), right=ints(right),
-                     threshold=np.frombuffer(threshold).copy(), weights=weights,
-                     roots=np.array(roots, dtype=np.intp),
+    right = ints(right)
+    counts = np.zeros((right.size, n_labels), dtype=np.intp)
+    counts[right == np.arange(right.size)] = leaf  # a leaf is its own right child
+    return NodeTable(feature=ints(feature), right=right,
+                     threshold=np.frombuffer(threshold).copy(), counts=counts,
+                     class_weights=class_weights, roots=np.array(roots, dtype=np.intp),
                      member_node=ints(member_node), member_code=ints(member_code))
 
 

@@ -147,18 +147,20 @@ def oracle_tree_predict(node, row):
     return w / w.sum()
 
 
-def tree_from_lines_oracle(lines):
-    """The tree given by its pre-order node lines (``leaf w,..``,
+def tree_from_lines_oracle(lines, class_weights):
+    """The tree given by its pre-order node lines (``leaf c,..``,
     ``split f <= t`` or ``split f in c,..``), as the nested dict
-    oracle_tree_predict walks. Recursive descent: a split's left subtree
-    starts on the next line, and its right subtree where the left one ends.
+    oracle_tree_predict walks; a leaf's weights are its class counts times
+    ``class_weights``. Recursive descent: a split's left subtree starts on
+    the next line, and its right subtree where the left one ends.
     """
     rest = iter(lines)
 
     def node():
         kind, *fields = next(rest).split(" ")
         if kind == "leaf":
-            return {"leaf": [float(w) for w in fields[0].split(",")]}
+            return {"leaf": [int(c) * w for c, w
+                             in zip(fields[0].split(","), class_weights)]}
         feature, op, arg = fields
         predicate = (("threshold", float(arg)) if op == "<=" else
                      ("subset", frozenset(int(c) for c in arg.split(","))))
@@ -189,7 +191,8 @@ def oob_oracle(forest, data):
     n, K = len(data), forest.n_labels
     tally = [[0] * K for _ in range(n)]
     for t, root in enumerate(forest.table.roots.tolist()):
-        tree = tree_from_lines_oracle(forest.table.subtree_lines(root))
+        tree = tree_from_lines_oracle(forest.table.subtree_lines(root),
+                                      forest.config.class_weights)
         inbag = set(bootstrap_rows(forest.config, t, n).tolist())
         for i in range(n):
             if i not in inbag:
@@ -258,11 +261,11 @@ def tree_lines(tree):
     return tree.table.subtree_lines(tree.index)
 
 
-def tree_from_lines(lines, n_labels, n_categories):
+def tree_from_lines(lines, class_weights, n_categories):
     """The one tree given by its pre-order node lines, as a root TreeNode."""
     from riskforest.tree import TreeNode, read_trees
 
-    table = read_trees(["tree 0", *lines, "end"], 0, n_labels, n_categories)
+    table = read_trees(["tree 0", *lines, "end"], 0, class_weights, n_categories)
     return TreeNode(table, 0)
 
 

@@ -429,8 +429,8 @@ def test_infinite_years_since_cell_exits_one_naming_row_and_column(tmp_path,
 
 @pytest.mark.parametrize("mode", [(), ("--two-group",)])
 @pytest.mark.parametrize("flag, value, shown", [
-    ("--n", "-3", "row count -3"), ("--n", "0", "row count 0"),
-    ("--n", "1" + "0" * 23, "row count 1" + "0" * 23),
+    *[("--n", n, f"error: row count {n} is not an integer from 1 to {2**63 - 1}\n")
+      for n in ("-3", "0", "99999999999999999999", "1" + "0" * 23)],
     ("--signal", "5", "signal_strength 5.0"),
     ("--signal", "-1", "signal_strength -1.0")])
 def test_generate_rejects_bad_row_count_or_signal(tmp_path, capsys, mode, flag,

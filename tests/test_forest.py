@@ -319,12 +319,12 @@ def _hand_forest(vote_labels, schema):
     """One single-leaf tree per label index, voting for that label."""
     lines = []
     for t, k in enumerate(vote_labels):
-        lines += [f"tree {t}", "leaf " + ",".join("1.0" if j == k else "0.0"
+        lines += [f"tree {t}", "leaf " + ",".join("1" if j == k else "0"
                                                   for j in range(3))]
     cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
     return Forest(config=cfg, schema=schema,
-                  table=read_trees(lines + ["end"], 0, 3,
+                  table=read_trees(lines + ["end"], 0, cfg.class_weights,
                                    [len(s.categories) for s in schema.specs]),
                   n_train=1, data_digest="0" * 16)
 

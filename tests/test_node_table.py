@@ -1,5 +1,6 @@
-"""The flat node table, model format v4 and the checks that ride on them."""
+"""The flat node table, model format v5 and the checks that ride on them."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -44,9 +45,9 @@ def _replay_votes(tree, X):
 
 
 def _assert_same_table(a, b):
-    for name in ("feature", "start", "width", "left", "right", "threshold",
-                 "members", "member_node", "member_code", "weights", "roots",
-                 "vote"):
+    for name in ("feature", "start", "width", "column_width", "left", "right",
+                 "threshold", "members", "member_node", "member_code", "counts",
+                 "class_weights", "weights", "roots", "vote"):
         assert np.array_equal(getattr(a, name), getattr(b, name),
                               equal_nan=True), name
 
@@ -133,8 +134,8 @@ def test_codes_outside_a_subset_go_right_like_int_membership():
     # Three subset nodes, so their category flags sit side by side.
     tree = tree_from_lines([
         "split 0 in 1,3",
-        "split 1 in 0,2", "leaf 1.0,0.0,0.0", "leaf 0.0,1.0,0.0",
-        "split 1 in 4", "leaf 0.0,0.0,1.0", "leaf 0.0,1.0,0.0"], 3, [4, 5])
+        "split 1 in 0,2", "leaf 1,0,0", "leaf 0,1,0",
+        "split 1 in 4", "leaf 0,0,1", "leaf 0,1,0"], (1.0, 1.0, 1.0), [4, 5])
     values = np.r_[np.arange(-6.0, 8.0, 0.5), -1e30, 1e30]
     X = np.array([(a, b) for a in values for b in values])
     got = tree_apply(tree, X)
@@ -176,7 +177,8 @@ def test_loaded_trees_predict_like_their_lines_read_by_recursive_descent(
                         [[-1e30, -1, -5, -1, -1], [1e30, 9, 1e30, 7, 9]]])
     for tree, start, stop in zip(forest_trees(loaded), heads,
                                  heads[1:] + [len(lines) - 1]):
-        oracle = tree_from_lines_oracle(lines[start + 1:stop])
+        oracle = tree_from_lines_oracle(lines[start + 1:stop],
+                                        forest.config.class_weights)
         got = tree_apply(tree, probes)
         for row, dist in zip(probes, got):
             assert (dist == oracle_tree_predict(oracle, row)).all()
@@ -203,18 +205,63 @@ def test_save_load_save_is_byte_identical(tri_schema, tmp_path_factory, seed,
         assert (a == b).all()
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 4),
+       max_depth=st.integers(1, 6), bootstrap=st.sampled_from([20, 60, 240]),
+       weights=st.tuples(*[st.sampled_from([0.3, 1.0, 1.7, 2.25, 2.5])] * 3))
+def test_a_model_file_loads_to_its_trained_table_for_any_class_weights(
+        tri_schema, tmp_path_factory, seed, n_trees, max_depth, bootstrap,
+        weights):
+    # Leaf lines hold integer counts; the loaded weights are the counts
+    # times the header's class weights, bit for bit the trained ones.
+    data = _tri_data(tri_schema, seed)
+    forest = train_forest(data, ForestConfig(
+        n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
+        bootstrap_size=bootstrap, class_weights=weights))
+    tmp = tmp_path_factory.mktemp("v5")
+    first, second = tmp / "a.forest", tmp / "b.forest"
+    save_forest(forest, first)
+    loaded = load_forest(first, tri_schema)
+    _assert_same_table(forest.table, loaded.table)
+    save_forest(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    lines = first.read_text(encoding="utf-8").splitlines()
+    leaves = [line for line in lines if line.startswith("leaf ")]
+    assert all(re.fullmatch(r"leaf (0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){2}", line)
+               for line in leaves)
+    table = forest.table
+    totals = np.add.reduceat(table.counts.sum(axis=1), table.roots)
+    assert (totals == bootstrap).all()
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (2.5, 1.0, 1.0),
+                                     (1.7, 0.3, 1.1)])
+def test_trained_and_loaded_tables_are_equal_for_class_weights(
+        hart_data, tmp_path, weights):
+    forest = train_forest(hart_data, ForestConfig(
+        n_trees=3, master_seed=3, max_depth=6, class_weights=weights))
+    assert _subset_splits(forest), "want category flags to check"
+    path = tmp_path / "model.forest"
+    save_forest(forest, path)
+    loaded = load_forest(path, hart_schema())
+    _assert_same_table(forest.table, loaded.table)
+    assert loaded.table.weights.tobytes() == forest.table.weights.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 15),
        bootstrap=st.sampled_from([20, 45, 60, 120, 240]),
-       max_depth=st.integers(1, 6))
+       max_depth=st.integers(1, 6),
+       weights=st.sampled_from([(1.0, 1.0, 1.0), (2.5, 1.0, 1.0),
+                                (1.7, 0.3, 1.1)]))
 def test_oob_predict_equals_the_plain_loop_oracle(tri_schema, seed, n_trees,
-                                                  bootstrap, max_depth):
+                                                  bootstrap, max_depth, weights):
     # 60 rows: bootstraps below and above n, so some rows may have no
     # out-of-bag tree
     data = _tri_data(tri_schema, seed)
     forest = train_forest(data, ForestConfig(
         n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
-        bootstrap_size=bootstrap))
+        bootstrap_size=bootstrap, class_weights=weights))
     labels, counts = oob_predict(forest, data)
     want_labels, want_counts = oob_oracle(forest, data)
     assert (counts == want_counts).all()
@@ -303,11 +350,10 @@ def test_a_stump_beside_a_deep_tree_keeps_each_row_at_its_leaves():
     for k, subset in zip(range(8), ["0.5", "1,3", "2.5", "0", "4.5", "2,6",
                                     "6.5", "4"]):
         chain += [f"split 0 <= {subset}" if k % 2 == 0 else f"split 1 in {subset}",
-                  f"leaf {k + 1}.0,1.0,0.0"]
-    chain.append("leaf 0.0,0.0,1.0")
-    table = read_trees(["tree 0", "split 0 <= 3.5", "leaf 1.0,0.0,0.0",
-                        "leaf 0.0,1.0,0.0", "tree 1", *chain, "end"], 0, 3,
-                       [0, 7])
+                  f"leaf {k + 1},1,0"]
+    chain.append("leaf 0,0,1")
+    table = read_trees(["tree 0", "split 0 <= 3.5", "leaf 1,0,0", "leaf 0,1,0",
+                        "tree 1", *chain, "end"], 0, (1.0, 1.0, 1.0), [0, 7])
     assert table.depth == 8
     values = [-1e30, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
               7.0, 9.0, 1e30, float("nan")]
@@ -475,12 +521,12 @@ def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):
 
 def test_v1_model_file_is_rejected_naming_both_formats(tmp_path, model_lines):
     for old in ("riskforest-forest v1", "riskforest-forest v2",
-                "riskforest-forest v3"):
+                "riskforest-forest v3", "riskforest-forest v4"):
         lines = [old] + list(model_lines[1:])
         with pytest.raises(DataError, match="line 1: ") as err:
             _load_lines(tmp_path, lines)
         assert old in str(err.value)
-        assert "reads 'riskforest-forest v4' only; retrain" in str(err.value)
+        assert "reads 'riskforest-forest v5' only; retrain" in str(err.value)
 
 
 def test_a_saved_model_holds_no_header_line_its_schema_fixes(model_lines):
@@ -522,12 +568,23 @@ def _replace(lines, prefix, *new):
     return _splice(lines, i, i + 1, new)
 
 
+def _bump(lines, t, step):
+    """Add ``step`` to the largest count of tree t's first leaf; return the
+    index of its ``tree t`` line."""
+    at = lines.index(f"tree {t}")
+    i = _first(lines[at:], "leaf ") + at
+    counts = [int(c) for c in lines[i][5:].split(",")]
+    counts[counts.index(max(counts))] += step
+    lines[i] = "leaf " + ",".join(map(str, counts))
+    return at
+
+
 # Each edit changes a copy of the model's lines in place and returns the
 # index of the line the fault is reported at.
 _LOAD_FAULTS = {
     "not a forest document": (
         lambda m: _replace(m, "riskforest-forest", "riskforest model"),
-        "not a forest document (expected 'riskforest-forest v4')"),
+        "not a forest document (expected 'riskforest-forest v5')"),
     "unknown header key": (
         lambda m: _replace(m, "min_leaf ", "colour blue"),
         "unexpected header line 'colour blue'"),
@@ -559,7 +616,7 @@ _LOAD_FAULTS = {
                            m[_first(m, "n_trees ")]),
         "unexpected header line 'n_features 34'"),
     "node after the end of its tree": (
-        lambda m: _replace(m, "tree 1", "leaf 1.0,0.0,0.0", "tree 1"),
+        lambda m: _replace(m, "tree 1", "leaf 1,0,0", "tree 1"),
         "node after the end of its tree"),
     "tree open at the next tree": (
         lambda m: _splice(m, m.index("tree 1") - 1, m.index("tree 1")),
@@ -579,18 +636,26 @@ _LOAD_FAULTS = {
     "unknown node kind": (
         lambda m: _replace(m, "leaf ", "node 1.0"),
         "malformed node line 'node 1.0'"),
-    "NaN leaf weight": (
-        lambda m: _replace(m, "leaf ", "leaf nan,1.0,1.0"),
-        "leaf class weights must be finite and sum to > 0"),
-    "infinite leaf weight": (
-        lambda m: _replace(m, "leaf ", "leaf inf,0.0,0.0"),
-        "leaf class weights must be finite and sum to > 0"),
-    "zero-sum leaf weights": (
-        lambda m: _replace(m, "leaf ", "leaf 0.0,0.0,0.0"),
-        "leaf class weights must be finite and sum to > 0"),
-    "negative leaf weight": (
-        lambda m: _replace(m, "leaf ", "leaf -5.0,10.0,0.0"),
-        "leaf class weights must not be negative"),
+    **{f"leaf count {text!r}": (
+        lambda m, text=text: _replace(m, "leaf ", f"leaf {text},1,1"),
+        f"malformed node line 'leaf {text},1,1'")
+       for text in ("3.0", "+3", "3_0", " 3", "03", "-1", "", "\u0663", "nan",
+                    "1" + "0" * 19)},
+    "all-zero leaf": (
+        lambda m: _replace(m, "leaf ", "leaf 0,0,0"),
+        f"leaf class counts must sum to 1..{2**63 - 1}"),
+    "negative leaf sum": (
+        lambda m: _replace(m, "leaf ", "leaf -1,0,0"),
+        f"leaf class counts must sum to 1..{2**63 - 1}"),
+    "leaf sum beyond 64 bits": (
+        lambda m: _replace(m, "leaf ", f"leaf {2**63 - 1},1,0"),
+        f"leaf class counts must sum to 1..{2**63 - 1}"),
+    "tree counts above the bootstrap size": (
+        lambda m: _bump(m, 1, +1),
+        "tree 1's leaf counts sum to 401, not the bootstrap size 400"),
+    "tree counts below the bootstrap size": (
+        lambda m: _bump(m, 4, -1),
+        "tree 4's leaf counts sum to 399, not the bootstrap size 400"),
     "NaN threshold": (
         lambda m: _replace(m, "split ", "split 10 <= nan"),
         "split threshold must be finite"),
@@ -617,7 +682,7 @@ _LOAD_FAULTS = {
                           ["tree 2"]),
         "expected 'tree 1', got 'tree 2'"),
     "content after end": (
-        lambda m: _splice(m, len(m), len(m), ["leaf 1.0,0.0,0.0"]),
+        lambda m: _splice(m, len(m), len(m), ["leaf 1,0,0"]),
         "content after 'end'"),
     "tree count against the header": (
         lambda m: _splice(m, m.index("tree 4"), len(m) - 1),
@@ -639,15 +704,31 @@ def test_model_file_fault_is_reported_with_its_line(tmp_path, model_lines,
     assert str(err.value) == f"{tmp_path / 'bad.forest'}, line {lineno}: {message}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("top", [1e300, 3e307, np.finfo(float).max])
+def test_a_leaf_is_refused_where_its_weights_would_overflow(top):
+    # Weights are counts times class weights, so a huge class weight caps
+    # the count sum a leaf may hold, and the largest allowed sum stays finite.
+    weights, most = (top, 1.0, 1.0), int(1e308 / top)
+    with pytest.raises(DataError, match=rf"sum to 1\.\.{most}$") as err:
+        read_trees(["tree 0", f"leaf {most + 1},0,0", "end"], 0, weights, [0])
+    assert err.value.row == 1
+    if most:
+        table = read_trees(["tree 0", f"leaf {most - 1},1,0", "end"], 0,
+                           weights, [0])
+        assert np.isfinite(table.weights).all() and table.vote[0] == 0
+
+
 _NODE_LIKE = st.sampled_from([
-    "leaf 1.0,0.0,0.0", "leaf 0.0,2.5,1.0", "leaf 0.0,0.0,0.0",
-    "leaf nan,1.0,1.0", "leaf 1.0,1.0", "leaf", "split 0 <= 0.5",
+    "leaf 1,0,0", "leaf 0,2,1", "leaf 0,0,0", "leaf 1.0,0.0,0.0",
+    "leaf 0,+2,1", "leaf -1,2,0", "leaf 1,1", "leaf", "split 0 <= 0.5",
     "split 33 <= nan", "split 34 <= 1.0", "split 6 in 0,2", "split 6 in 2,0,2",
     "split 6 in 99", "split -1 in 0", "split 0 in ", "split 0 < 1.0",
     "tree 0", "tree 1", "tree 5", "end", ""])
 
 _EDIT = st.tuples(
-    st.sampled_from(("delete", "duplicate", "swap", "truncate", "replace")),
+    st.sampled_from(("delete", "duplicate", "swap", "truncate", "replace",
+                     "count")),
     st.integers(0, 10**4), st.integers(0, 10**4), _NODE_LIKE)
 
 
@@ -668,6 +749,13 @@ def test_edited_model_file_loads_or_raises_data_error(
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "truncate":
             del lines[i:]
+        elif op == "count":  # move one case from leaf line i to leaf line j
+            for k, step in ((i, -1), (j, 1)):
+                counts = lines[k][5:].split(",")
+                c = (a + b) % len(counts)
+                if lines[k].startswith("leaf ") and counts[c].isdigit():
+                    counts[c] = str(int(counts[c]) + step)
+                    lines[k] = "leaf " + ",".join(counts)
         else:
             lines[i] = token
     base = tmp_path_factory.getbasetemp()

@@ -68,8 +68,8 @@ def test_threshold_lies_between_the_two_values_it_separates(small_schema, low,
 
 
 def test_sentinel_routes_past_years_since_threshold(tri_schema):
-    tree = tree_from_lines(["split 2 <= 30.0", "leaf 1.0,0.0,0.0",
-                            "leaf 0.0,0.0,1.0"], 3, _category_counts(tri_schema))
+    tree = tree_from_lines(["split 2 <= 30.0", "leaf 1,0,0", "leaf 0,0,1"],
+                           (1.0, 1.0, 1.0), _category_counts(tri_schema))
     assert tree.rule == SplitRule(feature_index=2, threshold=30.0)
     dist = predict_tree(tree, [0, 0, 100.0, 0, 0])
     assert dist[2] == 1.0  # sentinel 100 > 30: no-history row goes right
@@ -191,7 +191,7 @@ def test_node_line_round_trip(tri_schema):
     ds = _random_tri_dataset(tri_schema, np.random.default_rng(41), n=60)
     tree = train_tree(ds, (1.0, 1.0, 2.0), min_leaf=2, max_depth=6, seed=8)
     lines = tree_lines(tree)
-    again = tree_from_lines(lines, 3, _category_counts(tri_schema))
+    again = tree_from_lines(lines, (1.0, 1.0, 2.0), _category_counts(tri_schema))
     assert tree_lines(again) == lines
     for row in ds.X[:20]:
         assert predict_tree(again, row) == pytest.approx(predict_tree(tree, row))
@@ -206,7 +206,7 @@ def test_tree_apply_agrees_with_predict(tri_schema):
 
 
 def test_tree_vote_tie_breaks_toward_lower_risk():
-    leaf = tree_from_lines(["leaf 1.0,0.0,1.0"], 3, [0])
+    leaf = tree_from_lines(["leaf 1,0,1"], (1.0, 1.0, 1.0), [0])
     assert tree_votes(leaf, np.zeros((1, 3)))[0] == 2  # Low over High
 
 
@@ -295,10 +295,10 @@ def test_trained_table_equals_table_parsed_from_its_node_lines(
     root = train_tree(ds, weights, feature_subset_size=subset_size,
                       min_leaf=min_leaf, max_depth=depth, seed=seed)
     table = root.table
-    parsed = read_trees(write_trees(table), 0, 3, _category_counts(_MIXED))
-    for name in ("feature", "start", "width", "left", "right", "threshold",
-                 "members", "member_node", "member_code", "weights", "roots",
-                 "vote"):
+    parsed = read_trees(write_trees(table), 0, weights, _category_counts(_MIXED))
+    for name in ("feature", "start", "width", "column_width", "left", "right",
+                 "threshold", "members", "member_node", "member_code", "counts",
+                 "class_weights", "weights", "roots", "vote"):
         got, want = getattr(table, name), getattr(parsed, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want, equal_nan=True), name
@@ -349,18 +349,19 @@ def test_wide_category_splits_match_prefix_oracle(seed, weights, min_leaf, depth
 def _truncate(node, depth, schema):
     """The top ``depth`` levels of a tree; cut subtrees become leaves."""
     def total(n):
-        return n.class_weights if n.is_leaf else total(n.left) + total(n.right)
+        return (n.table.counts[n.index] if n.is_leaf
+                else total(n.left) + total(n.right))
 
     def lines(n, d):
         if n.is_leaf or d == 0:
-            return ["leaf " + ",".join(map(repr, total(n).tolist()))]
+            return ["leaf " + ",".join(map(str, total(n).tolist()))]
         r = n.rule
         test = (f"<= {r.threshold!r}" if r.subset is None
                 else "in " + ",".join(map(str, sorted(r.subset))))
         return ([f"split {r.feature_index} {test}"]
                 + lines(n.left, d - 1) + lines(n.right, d - 1))
 
-    return tree_from_lines(lines(node, depth), node.table.weights.shape[1],
+    return tree_from_lines(lines(node, depth), node.table.class_weights,
                            _category_counts(schema))
 
 
