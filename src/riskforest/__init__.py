@@ -2,7 +2,7 @@
 toolkit that goes with them: confusion-matrix measures, ROC/AUC, group
 fairness criteria, and k-anonymity measurement."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from ._lazy import attach
 

@@ -182,9 +182,17 @@ def _metric_report(schema, predicted, actual):
 
 def _load_schema(args) -> FeatureSchema:
     schema = (FeatureSchema.load(args.schema) if args.schema else hart_schema())
-    if getattr(args, "group", None):
-        schema = schema.with_group(args.group)
-    return schema
+    return schema.with_group(args.group) if args.group else schema
+
+
+def _load_model(args):
+    """The --model forest, checked against --schema when one is given, and
+    the schema its --data is read with: the model's own, with --group or
+    else the given schema's group."""
+    given = FeatureSchema.load(args.schema) if args.schema else None
+    forest = load_forest(args.model, given)
+    group = args.group or (given.group_attribute if given else None)
+    return forest, forest.schema.with_group(group)
 
 
 # -- commands ------------------------------------------------------------
@@ -314,8 +322,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     out = Path(args.out)
-    schema = _load_schema(args)
-    forest = load_forest(args.model, schema)
+    forest, schema = _load_model(args)
     X, _, _ = load_unlabeled_csv(args.data, schema)  # checked as parsed
     tally = forest_tally(forest, X)
     pred = np.argmax(tally, axis=1)
@@ -340,8 +347,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = Path(args.out)
-    schema = _load_schema(args)
-    forest = load_forest(args.model, schema)
+    forest, schema = _load_model(args)
     ds = load_csv(args.data, schema)
     pred, _ = predict_dataset(forest, ds)
     cm, report = _metric_report(schema, pred, ds.y)
@@ -358,10 +364,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_audit(args) -> int:
     out = Path(args.out)
-    schema = _load_schema(args)
+    forest, schema = _load_model(args)
     if schema.group_attribute is None:
         raise UsageError("audit needs a group column: pass --group")
-    forest = load_forest(args.model, schema)
     ds = load_csv(args.data, schema)
     if ds.groups is None:
         raise DataError(f"{args.data} carries no {schema.group_attribute!r} column")
@@ -485,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, default=default, **kwargs)
 
     def common(p, *, data=True, seed=False, model=False, epsilon=False):
-        option(p, "--schema", help="schema file (default: bundled custody schema)")
+        own = "the model's own schema" if model else "bundled custody schema"
+        option(p, "--schema", help=f"schema file (default: {own})")
         option(p, "--group", help="treat this column as the protected-group attribute")
         if data:
             option(p, "--data", help="dataset CSV")

@@ -231,11 +231,11 @@ def _parse_csv(path, schema: FeatureSchema, require_label: bool):
                 groups += map(str.strip, columns[col_of[schema.group_attribute]])
             done += len(chunk)
 
-    X = np.concatenate(blocks) if blocks else np.empty((0, schema.n_features))
-    y = (np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-         ) if has_label else None
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    y = np.concatenate(labels) if has_label else None
     g = np.asarray(groups, dtype=object) if has_group else None
-    return X, y, g
+    return np.concatenate(blocks), y, g
 
 
 def _read_records(path, reader, n: int) -> list[list[str]]:

@@ -38,7 +38,13 @@ OTHER = "OTHER"
 MISSING_HISTORY_CODE = 100.0
 LABEL_COLUMN = "label"
 
-_FORMAT_LINE = "riskforest-schema v1"
+SCHEMA_FORMAT_LINE = "riskforest-schema v1"
+
+
+def _writable(text: str) -> bool:
+    """Whether from_text reads back a name as to_text writes it."""
+    return (text.splitlines() == [text] == [text.strip()]
+            and not any(c in text for c in ",|:#"))
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,12 @@ class FeatureSpec:
     sentinel: SentinelRule | None = None
 
     def __post_init__(self):
-        if not self.name or any(c in self.name for c in ",|:\n"):
-            raise SchemaError(f"bad feature name: {self.name!r}")
+        object.__setattr__(self, "categories", tuple(self.categories))
+        for text in (self.name, *self.categories):
+            if not _writable(text):
+                raise SchemaError(f"bad feature name or category: {text!r}")
         if self.kind not in KINDS:
             raise SchemaError(f"{self.name}: unknown kind {self.kind!r}")
-        object.__setattr__(self, "categories", tuple(self.categories))
         if self.kind == "binary" and not self.categories:
             object.__setattr__(self, "categories", ("No", "Yes"))
         if self.kind == "categorical":
@@ -114,8 +121,9 @@ class FeatureSchema:
             raise SchemaError("schema has no features")
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature names")
-        if len(self.label_set) < 2 or len(set(self.label_set)) != len(self.label_set):
-            raise SchemaError("label_set needs >= 2 distinct names")
+        if (len(self.label_set) < 2 or len(set(self.label_set)) != len(self.label_set)
+                or not all(map(_writable, self.label_set))):
+            raise SchemaError("label_set needs >= 2 distinct names to_text can write")
         reserved = set(names) | {LABEL_COLUMN}
         if self.group_attribute is not None and self.group_attribute in reserved:
             raise SchemaError(
@@ -176,21 +184,25 @@ class FeatureSchema:
     def with_group(self, name: str) -> "FeatureSchema":
         return replace(self, group_attribute=name)
 
-    def fingerprint(self) -> str:
-        """Stable hex digest of the model-facing schema contents.
+    def model_text(self) -> str:
+        """The group-less ``to_text()``: the model-facing schema contents,
+        which a model file holds and the fingerprint digests.
 
         The group attribute is audit metadata, not a training input, so
         grouped and ungrouped variants of one schema fingerprint alike
         and interoperate with the same models.
         """
-        canonical = self if self.group_attribute is None else replace(
-            self, group_attribute=None)
-        return hashlib.sha256(canonical.to_text().encode()).hexdigest()[:16]
+        return (self if self.group_attribute is None
+                else replace(self, group_attribute=None)).to_text()
+
+    def fingerprint(self) -> str:
+        """Stable hex digest of ``model_text()``."""
+        return hashlib.sha256(self.model_text().encode()).hexdigest()[:16]
 
     # -- text format --------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [_FORMAT_LINE, "labels: " + ", ".join(self.label_set)]
+        lines = [SCHEMA_FORMAT_LINE, "labels: " + ", ".join(self.label_set)]
         if self.group_attribute is not None:
             lines.append("group: " + self.group_attribute)
         for spec in self.specs:
@@ -212,7 +224,7 @@ class FeatureSchema:
         specs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line or line == _FORMAT_LINE:
+            if not line or line == SCHEMA_FORMAT_LINE:
                 continue
             key, _, rest = line.partition(":")
             key = key.strip().lower()

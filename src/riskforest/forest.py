@@ -33,13 +33,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data.dataset import Dataset, check_setting, split_holdout
-from .data.schema import FeatureSchema
-from .errors import CalibrationError, DataError, FingerprintMismatchError
+from .data.schema import SCHEMA_FORMAT_LINE, FeatureSchema
+from .errors import (CalibrationError, DataError, FingerprintMismatchError,
+                     SchemaError)
 from .tree import (BLOCK_PAIRS, NodeTable, check_class_weights,
                    default_feature_subset_size, read_trees, train_tree,
                    write_trees)
 
-FOREST_FORMAT_LINE = "riskforest-forest v5"
+FOREST_FORMAT_LINE = "riskforest-forest v6"
 
 #: High-risk weight multipliers swept by calibrate_cost_ratio.
 COST_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -441,7 +442,7 @@ def calibrate_cost_ratio(data: Dataset, config: ForestConfig,
 
 def save_forest(forest: Forest, path) -> None:
     """Write the forest as a deterministic text document: the header lines of
-    ``_HEADER`` in its order, then the trees.
+    ``_HEADER`` in its order, the schema's ``model_text()``, then the trees.
 
     In-bag lists are not written: load_forest draws them again from the
     seed, ``n_train`` and ``bootstrap_size``.
@@ -452,6 +453,7 @@ def save_forest(forest: Forest, path) -> None:
         if isinstance(value, tuple):
             value = ",".join(map(str, value))
         lines.append(f"{key} {value}")
+    lines += forest.schema.model_text().splitlines()
     lines += write_trees(forest.table)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -477,7 +479,7 @@ def _integer_reader(key: str):
 # them, each with the function that reads and checks its value. A key names
 # a ForestConfig field or else a Forest attribute. A reader raises
 # ValueError for a malformed value, or DataError with its own message. The
-# labels and feature count are the schema's, which the fingerprint names.
+# labels and feature count are the schema's, whose text follows the header.
 _HEADER = {
     "fingerprint": _hex16,
     "n_trees": _integer_reader("n_trees"),
@@ -493,12 +495,14 @@ _HEADER = {
 _CONFIG_KEYS = tuple(f.name for f in fields(ForestConfig))
 
 
-def load_forest(path, schema: FeatureSchema) -> Forest:
+def load_forest(path, schema: FeatureSchema | None = None) -> Forest:
     """Read a forest document into a node table; any malformed input raises
-    DataError with its line number. The model must have been trained on
-    ``schema``: a fingerprint that is not the schema's raises
-    FingerprintMismatchError before any tree is read, and the trees'
-    labels, split features and category codes are checked against it.
+    DataError with its line number. The model's schema is the block after
+    the header, from its SCHEMA_FORMAT_LINE up to ``tree 0``, whose
+    fingerprint must be the header's; the Forest keeps it, and the trees'
+    labels, split features and category codes are checked against it. A
+    given ``schema`` is only checked: a fingerprint that is not the
+    model's raises FingerprintMismatchError before any tree is read.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -516,7 +520,7 @@ def load_forest(path, schema: FeatureSchema) -> Forest:
         raise fail(1, f"not a forest document (expected {FOREST_FORMAT_LINE!r})")
     values = {}  # each header key's value, in line order from line 2
     pos = 1
-    while pos < len(lines) and not lines[pos].startswith("tree "):
+    while pos < len(lines) and lines[pos] != SCHEMA_FORMAT_LINE:
         key, _, text = lines[pos].partition(" ")
         if key not in _HEADER or key in values:
             raise fail(pos + 1, f"unexpected header line {lines[pos]!r}")
@@ -530,14 +534,25 @@ def load_forest(path, schema: FeatureSchema) -> Forest:
     missing = [key for key in _HEADER if key not in values]
     if missing:
         raise fail(pos + 1, "forest header missing " + ", ".join(missing))
-    _check_fingerprint(schema, values["fingerprint"])
+    first = pos  # the schema block's first line; pos goes on to tree 0
+    while pos < len(lines) and not lines[pos].startswith("tree "):
+        pos += 1
+    try:
+        own = FeatureSchema.from_text("\n".join(lines[first:pos]))
+    except SchemaError as exc:
+        raise fail(first + 1, f"bad schema block: {exc}") from None
+    if own.fingerprint() != values["fingerprint"]:
+        raise fail(first + 1, f"the schema block's fingerprint {own.fingerprint()}"
+                              f" is not the header's {values['fingerprint']}")
+    if schema is not None:
+        _check_fingerprint(schema, values["fingerprint"])
     cfg = ForestConfig(**{key: values[key] for key in _CONFIG_KEYS})
-    if len(cfg.class_weights) != schema.n_labels:
+    if len(cfg.class_weights) != own.n_labels:
         raise fail(2 + list(values).index("class_weights"),
-                   f"{len(cfg.class_weights)} class weights for {schema.n_labels} labels")
+                   f"{len(cfg.class_weights)} class weights for {own.n_labels} labels")
     try:
         table = read_trees(lines, pos, cfg.class_weights,
-                           [len(spec.categories) for spec in schema.specs])
+                           [len(spec.categories) for spec in own.specs])
     except DataError as exc:
         raise fail(exc.row + 1, str(exc)) from None
     if table.n_trees != cfg.n_trees:  # read_trees ends at the last line
@@ -547,5 +562,5 @@ def load_forest(path, schema: FeatureSchema) -> Forest:
     for t in np.flatnonzero(totals != cfg.bootstrap_size)[:1].tolist():
         raise fail(pos + 1 + t + int(table.roots[t]), f"tree {t}'s leaf counts sum"
                    f" to {totals[t]}, not the bootstrap size {cfg.bootstrap_size}")
-    return Forest(config=cfg, schema=schema, table=table,
+    return Forest(config=cfg, schema=own, table=table,
                   n_train=values["n_train"], data_digest=values["data_digest"])

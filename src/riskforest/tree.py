@@ -714,8 +714,9 @@ class NodeTable:
         out[:, r0:r0 + b] = nodes.reshape(T, b)
 
     def subtree_lines(self, root: int) -> list[str]:
-        """Pre-order node lines of node ``root`` and the nodes below it:
-        thresholds in repr round-trip form, leaf counts as ``str(int)``."""
+        """Pre-order node lines of node ``root`` and the nodes below it,
+        ``f <= t``, ``f in c,..`` or a leaf's counts ``c,..``: thresholds in
+        repr round-trip form, leaf counts as ``str(int)``."""
         # In pre-order they run up to the leaf reached by always going right.
         last = root
         while not self.is_leaf[last]:
@@ -728,12 +729,11 @@ class NodeTable:
                 self.is_leaf[nodes].tolist(), self.threshold[nodes].tolist(),
                 self.counts[nodes].tolist()):
             if leaf:
-                lines.append("leaf " + ",".join(map(str, c)))
+                lines.append(",".join(map(str, c)))
             elif width:
-                lines.append(f"split {f} in "
-                             + ",".join(map(str, self.subset(i))))
+                lines.append(f"{f} in " + ",".join(map(str, self.subset(i))))
             else:
-                lines.append(f"split {f} <= {thr!r}")
+                lines.append(f"{f} <= {thr!r}")
         return lines
 
 
@@ -750,8 +750,8 @@ def write_trees(table: NodeTable) -> list[str]:
 
 def read_trees(lines, first: int, class_weights, n_categories) -> NodeTable:
     """The NodeTable of the trees write_trees wrote from ``lines[first]`` on:
-    ``tree t`` and tree t's node lines (``leaf c,..``, ``split f <= t`` or
-    ``split f in c,..``) in pre-order, tree after tree, then ``end`` as the
+    ``tree t`` and tree t's node lines (a leaf's counts ``c,..``, ``f <= t``
+    or ``f in c,..``) in pre-order, tree after tree, then ``end`` as the
     last line; leaf weights are the counts times ``class_weights``. It
     checks the structure (trees in order, two subtrees per split, no node
     after a finished tree), that leaf counts read as ``str(int)`` writes
@@ -785,13 +785,13 @@ def read_trees(lines, first: int, class_weights, n_categories) -> NodeTable:
             roots.append(i)
             tree_open = True
             continue
-        kind, _, rest = line.partition(" ")
+        at_leaf = " " not in line  # a leaf line is its counts alone
         try:
-            if kind == "leaf" and rest.isascii():  # int() reads other digits too
-                c = [*map(int, rest.split(","))]
+            if at_leaf:  # ASCII only: int() reads other digits too
+                c = [*map(int, line.encode("ascii").split(b","))]
                 leaf_counts.extend(c)  # OverflowError beyond 64 bits
-            elif kind == "split":
-                f, op, arg = rest.split(" ")
+            else:
+                f, op, arg = line.split(" ")
                 f = int(f)
                 if op == "<=":
                     thr, codes = float(arg), None
@@ -799,20 +799,18 @@ def read_trees(lines, first: int, class_weights, n_categories) -> NodeTable:
                     thr, codes = nan, sorted({int(t) for t in arg.split(",")})
                 else:
                     raise ValueError(op)
-            else:
-                raise ValueError(kind)
         except (ValueError, OverflowError):
             raise DataError(f"malformed node line {line!r}", row=row) from None
         if not tree_open:
             raise DataError("node after the end of its tree", row=row)
-        if kind == "leaf":
+        if at_leaf:
             if len(c) != n_labels:
                 raise DataError(f"leaf has {len(c)} class counts,"
                                 f" expected {n_labels}", row=row)
             if not 0 < sum(c) <= most:
                 raise DataError(f"leaf class counts must sum to 1..{most}", row=row)
             leaf_rows.append(row)
-            leaf_chars.append(len(rest))
+            leaf_chars.append(len(line))
             f, thr = 0, nan
             if waiting:
                 right[waiting.pop()] = i + 1

@@ -148,8 +148,8 @@ def oracle_tree_predict(node, row):
 
 
 def tree_from_lines_oracle(lines, class_weights):
-    """The tree given by its pre-order node lines (``leaf c,..``,
-    ``split f <= t`` or ``split f in c,..``), as the nested dict
+    """The tree given by its pre-order node lines (a leaf's class counts
+    ``c,..``, ``f <= t`` or ``f in c,..``), as the nested dict
     oracle_tree_predict walks; a leaf's weights are its class counts times
     ``class_weights``. Recursive descent: a split's left subtree starts on
     the next line, and its right subtree where the left one ends.
@@ -157,8 +157,8 @@ def tree_from_lines_oracle(lines, class_weights):
     rest = iter(lines)
 
     def node():
-        kind, *fields = next(rest).split(" ")
-        if kind == "leaf":
+        fields = next(rest).split(" ")
+        if len(fields) == 1:
             return {"leaf": [int(c) * w for c, w
                              in zip(fields[0].split(","), class_weights)]}
         feature, op, arg = fields

@@ -633,3 +633,95 @@ def test_no_group_hint_beside_a_missing_column(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == (
         f"error: {data}: columns do not match schema (missing: Gender; extra:"
         " Sex, Group)\n")
+
+
+# -- a header with no data rows ---------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", ["reproduce-tables", "train", "predict",
+                                  "evaluate", "audit", "baseline", "k-anon"])
+def test_a_csv_without_data_rows_is_refused_with_its_path(tmp_path, capsys,
+                                                          two_group_model, verb):
+    data, model = two_group_model
+    empty = tmp_path / "table3_oob.csv"  # a fixture name, for reproduce-tables
+    source = fixture_path("table3_oob.csv") if verb == "reproduce-tables" else data
+    empty.write_text(source.read_text().splitlines()[0] + "\n")
+    argv = {"reproduce-tables": ["--fixture-dir", str(tmp_path)],
+            "train": ["--data", str(empty), "--group", "Group", "--seed", "1"],
+            "baseline": ["--data", str(empty), "--group", "Group"],
+            "k-anon": ["--data", str(empty), "--group", "Group",
+                       "--quasi", "Gender"]}.get(
+        verb, ["--model", str(model), "--data", str(empty), "--group", "Group"])
+    out = tmp_path / "out"
+    assert run(verb, *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: ") and err.count("\n") == 1
+    if verb != "reproduce-tables":
+        assert err == f"error: {empty}: no data rows\n"
+    assert not out.exists()
+
+
+# -- the model's own schema ---------------------------------------------------
+
+_CUSTOM_SCHEMA = """labels: High, Moderate, Low
+feature: Age | numeric
+feature: Priors | count
+feature: Recent | years-since | sentinel=100 null
+feature: Area | categorical | N, S, E, OTHER
+feature: Flag | binary
+"""
+
+_SCORING = {"predict": ("predictions.csv", "predict_report.json"),
+            "evaluate": ("confusion.csv", "metrics.json"),
+            "audit": ("fairness.json",)}
+
+
+@pytest.fixture(scope="module")
+def custom_model(tmp_path_factory):
+    """A two-group CSV of a custom schema, and a model trained on both."""
+    base = tmp_path_factory.mktemp("custom")
+    schema = base / "custom_schema"
+    schema.write_text(_CUSTOM_SCHEMA, encoding="utf-8")
+    gen, tr = base / "gen", base / "tr"
+    assert run("generate", "--schema", str(schema), "--two-group", "--n", "300",
+               "--seed", "3", "--out", str(gen)) == 0
+    assert run("train", "--schema", str(schema), "--group", "Group",
+               "--data", str(gen / "synthetic.csv"), "--trees", "4",
+               "--seed", "3", "--out", str(tr)) == 0
+    return schema, gen / "synthetic.csv", tr / "model.forest"
+
+
+@pytest.mark.parametrize("verb", list(_SCORING))
+def test_a_custom_schema_model_scores_without_schema(tmp_path, monkeypatch,
+                                                     custom_model, verb):
+    monkeypatch.delenv("RISKFOREST_SCHEMA", raising=False)
+    schema, data, model = map(str, custom_model)
+    argv = [verb, "--model", model, "--data", data, "--group", "Group"]
+    given, own = tmp_path / "given", tmp_path / "own"
+    assert run(*argv, "--schema", schema, "--out", str(given)) == 0
+    assert run(*argv, "--out", str(own)) == 0
+    for name in _SCORING[verb]:
+        if name.endswith(".json"):  # the header records --schema
+            a, b = (json.loads((d / name).read_text())["result"]
+                    for d in (given, own))
+        else:
+            a, b = ((d / name).read_bytes() for d in (given, own))
+        assert a == b, name
+
+
+@pytest.mark.parametrize("verb", list(_SCORING))
+def test_a_schema_the_model_was_not_trained_on_exits_one(
+        tmp_path, capsys, custom_model, verb):
+    from riskforest import FeatureSchema, hart_schema
+
+    _, data, model = map(str, custom_model)
+    out = tmp_path / "out"
+    assert run(verb, "--model", model, "--data", data, "--group", "Group",
+               "--schema", str(fixture_path("hart_schema")),
+               "--out", str(out)) == 1
+    own = FeatureSchema.from_text(_CUSTOM_SCHEMA).fingerprint()
+    assert capsys.readouterr().err == (
+        f"error: schema {hart_schema().fingerprint()} does not match the"
+        f" model's {own}\n")
+    assert not out.exists()

@@ -319,8 +319,7 @@ def _hand_forest(vote_labels, schema):
     """One single-leaf tree per label index, voting for that label."""
     lines = []
     for t, k in enumerate(vote_labels):
-        lines += [f"tree {t}", "leaf " + ",".join("1" if j == k else "0"
-                                                  for j in range(3))]
+        lines += [f"tree {t}", ",".join("1" if j == k else "0" for j in range(3))]
     cfg = ForestConfig(n_trees=len(vote_labels), class_weights=(1.0, 1.0, 1.0),
                        feature_subset_size=1, bootstrap_size=1)
     return Forest(config=cfg, schema=schema,

@@ -1,4 +1,4 @@
-"""The flat node table, model format v5 and the checks that ride on them."""
+"""The flat node table, model format v6 and the checks that ride on them."""
 
 import re
 from dataclasses import replace
@@ -26,6 +26,7 @@ from riskforest import (
 )
 import riskforest.forest as forest_module
 import riskforest.tree as tree_module
+from riskforest.data.schema import SCHEMA_FORMAT_LINE
 from riskforest.errors import DataError, FingerprintMismatchError
 from riskforest.forest import forest_tally, forest_votes
 from riskforest.tree import BLOCK_PAIRS, TreeNode, predict_tree, read_trees
@@ -133,9 +134,9 @@ def test_more_than_64_categories_train_and_predict():
 def test_codes_outside_a_subset_go_right_like_int_membership():
     # Three subset nodes, so their category flags sit side by side.
     tree = tree_from_lines([
-        "split 0 in 1,3",
-        "split 1 in 0,2", "leaf 1,0,0", "leaf 0,1,0",
-        "split 1 in 4", "leaf 0,0,1", "leaf 0,1,0"], (1.0, 1.0, 1.0), [4, 5])
+        "0 in 1,3",
+        "1 in 0,2", "1,0,0", "0,1,0",
+        "1 in 4", "0,0,1", "0,1,0"], (1.0, 1.0, 1.0), [4, 5])
     values = np.r_[np.arange(-6.0, 8.0, 0.5), -1e30, 1e30]
     X = np.array([(a, b) for a in values for b in values])
     got = tree_apply(tree, X)
@@ -218,7 +219,7 @@ def test_a_model_file_loads_to_its_trained_table_for_any_class_weights(
     forest = train_forest(data, ForestConfig(
         n_trees=n_trees, max_depth=max_depth, min_leaf=2, master_seed=seed,
         bootstrap_size=bootstrap, class_weights=weights))
-    tmp = tmp_path_factory.mktemp("v5")
+    tmp = tmp_path_factory.mktemp("v6")
     first, second = tmp / "a.forest", tmp / "b.forest"
     save_forest(forest, first)
     loaded = load_forest(first, tri_schema)
@@ -226,8 +227,10 @@ def test_a_model_file_loads_to_its_trained_table_for_any_class_weights(
     save_forest(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     lines = first.read_text(encoding="utf-8").splitlines()
-    leaves = [line for line in lines if line.startswith("leaf ")]
-    assert all(re.fullmatch(r"leaf (0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){2}", line)
+    leaves = [line for line in lines[lines.index("tree 0"):-1]
+              if " " not in line and not line.startswith("tree ")]
+    assert len(leaves) == int(forest.table.is_leaf.sum())
+    assert all(re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){2}", line)
                for line in leaves)
     table = forest.table
     totals = np.add.reduceat(table.counts.sum(axis=1), table.roots)
@@ -349,10 +352,10 @@ def test_a_stump_beside_a_deep_tree_keeps_each_row_at_its_leaves():
     chain = []
     for k, subset in zip(range(8), ["0.5", "1,3", "2.5", "0", "4.5", "2,6",
                                     "6.5", "4"]):
-        chain += [f"split 0 <= {subset}" if k % 2 == 0 else f"split 1 in {subset}",
-                  f"leaf {k + 1},1,0"]
-    chain.append("leaf 0,0,1")
-    table = read_trees(["tree 0", "split 0 <= 3.5", "leaf 1,0,0", "leaf 0,1,0",
+        chain += [f"0 <= {subset}" if k % 2 == 0 else f"1 in {subset}",
+                  f"{k + 1},1,0"]
+    chain.append("0,0,1")
+    table = read_trees(["tree 0", "0 <= 3.5", "1,0,0", "0,1,0",
                         "tree 1", *chain, "end"], 0, (1.0, 1.0, 1.0), [0, 7])
     assert table.depth == 8
     values = [-1e30, -2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
@@ -474,6 +477,21 @@ def _first(lines, prefix):
     return next(i for i, line in enumerate(lines) if line.startswith(prefix))
 
 
+def _is_leaf(line):
+    """Whether a model file line is a leaf's counts (``c,..``)."""
+    return bool(re.fullmatch(r"[0-9]+(,[0-9]+)*", line))
+
+
+def _first_leaf(lines, start=0):
+    return next(i for i in range(start, len(lines)) if _is_leaf(lines[i]))
+
+
+def _first_split(lines, op):
+    """The index of the first split line of operator ``op`` (``<=`` or ``in``)."""
+    return next(i for i, line in enumerate(lines)
+                if re.fullmatch(rf"[0-9]+ {op} \S+", line))
+
+
 def test_bad_header_number_is_located(tmp_path, model_lines):
     lines = list(model_lines)
     i = _first(lines, "n_trees ")
@@ -491,18 +509,18 @@ def test_file_ending_after_tree_line_is_located(tmp_path, model_lines):
 
 def test_leaf_arity_must_match_labels(tmp_path, model_lines):
     lines = list(model_lines)
-    i = _first(lines, "leaf ")
-    lines[i] = "leaf " + ",".join(lines[i][5:].split(",")[:2])
+    i = _first_leaf(lines)
+    lines[i] = ",".join(lines[i].split(",")[:2])
     with pytest.raises(DataError, match=f"line {i + 1}: leaf has 2 class"):
         _load_lines(tmp_path, lines)
 
 
 def test_split_feature_beyond_schema_is_rejected(tmp_path, model_lines):
-    i = _first(model_lines, "split ")
-    _, _, op, arg = model_lines[i].split(" ")
+    i = _first_split(model_lines, "<=")
+    _, op, arg = model_lines[i].split(" ")
     for feature in (hart_schema().n_features, -1):
         lines = list(model_lines)
-        lines[i] = f"split {feature} {op} {arg}"
+        lines[i] = f"{feature} {op} {arg}"
         with pytest.raises(DataError,
                            match=f"line {i + 1}: split feature {feature} outside"):
             _load_lines(tmp_path, lines)
@@ -511,28 +529,29 @@ def test_split_feature_beyond_schema_is_rejected(tmp_path, model_lines):
 def test_subset_member_beyond_category_count_is_rejected(tmp_path, model_lines):
     schema = hart_schema()
     lines = list(model_lines)
-    i = next(k for k, line in enumerate(lines) if " in " in line)
-    feature = int(lines[i].split(" ")[1])
+    i = _first_split(lines, "in")
+    feature = int(lines[i].split(" ")[0])
     n_cats = len(schema.specs[feature].categories)
-    lines[i] = f"split {feature} in 0,{n_cats}"
+    lines[i] = f"{feature} in 0,{n_cats}"
     with pytest.raises(DataError, match=f"line {i + 1}: category {n_cats}"):
         _load_lines(tmp_path, lines)
 
 
 def test_v1_model_file_is_rejected_naming_both_formats(tmp_path, model_lines):
     for old in ("riskforest-forest v1", "riskforest-forest v2",
-                "riskforest-forest v3", "riskforest-forest v4"):
+                "riskforest-forest v3", "riskforest-forest v4",
+                "riskforest-forest v5"):
         lines = [old] + list(model_lines[1:])
         with pytest.raises(DataError, match="line 1: ") as err:
             _load_lines(tmp_path, lines)
         assert old in str(err.value)
-        assert "reads 'riskforest-forest v5' only; retrain" in str(err.value)
+        assert "reads 'riskforest-forest v6' only; retrain" in str(err.value)
 
 
 def test_a_saved_model_holds_no_header_line_its_schema_fixes(model_lines):
     # The labels and the feature count are the schema's, which the
     # fingerprint names.
-    header = model_lines[1:_first(model_lines, "tree 0")]
+    header = model_lines[1:model_lines.index(SCHEMA_FORMAT_LINE)]
     assert [line.split(" ")[0] for line in header] == [
         "fingerprint", "n_trees", "class_weights", "feature_subset_size",
         "min_leaf", "max_depth", "master_seed", "bootstrap_size", "n_train",
@@ -555,6 +574,82 @@ def test_another_schema_is_refused_before_any_tree_is_read(
         load_forest(path, other)
 
 
+def test_a_model_file_carries_its_schema_between_header_and_trees(
+        model_lines, tri_schema, tmp_path):
+    block = model_lines[model_lines.index(SCHEMA_FORMAT_LINE):
+                        model_lines.index("tree 0")]
+    assert block == hart_schema().model_text().splitlines()
+    path = tmp_path / "model.forest"
+    path.write_text("\n".join(model_lines) + "\n", encoding="utf-8")
+    assert load_forest(path).schema == hart_schema()
+    # A custom schema needs no schema to load either; a grouped one is
+    # written without its group.
+    forest = train_forest(_tri_data(tri_schema, 5),
+                          ForestConfig(n_trees=2, master_seed=5, max_depth=3))
+    grouped = replace(forest, schema=tri_schema.with_group("Zone"))
+    save_forest(grouped, path)
+    loaded = load_forest(path)
+    assert loaded.schema == tri_schema
+    _assert_same_table(loaded.table, forest.table)
+
+
+def test_a_v5_model_file_is_refused_at_line_1(model_lines, tmp_path):
+    # Format v5: no schema block, and node lines with their keywords.
+    at, tree0 = model_lines.index(SCHEMA_FORMAT_LINE), model_lines.index("tree 0")
+    v5 = ["riskforest-forest v5", *model_lines[1:at]]
+    for line in model_lines[tree0:]:
+        if _is_leaf(line):
+            line = "leaf " + line
+        elif " <= " in line or " in " in line:
+            line = "split " + line
+        v5.append(line)
+    with pytest.raises(DataError) as err:
+        _load_lines(tmp_path, v5)
+    assert str(err.value) == (
+        f"{tmp_path / 'bad.forest'}, line 1: 'riskforest-forest v5' cannot be"
+        " read: this version reads 'riskforest-forest v6' only; retrain the model")
+
+
+def _edit_block(lines, old, new):
+    """Replace ``old`` with ``new`` in the first schema block line holding
+    it; return the index of the block's first line."""
+    at = lines.index(SCHEMA_FORMAT_LINE)
+    i = next(k for k in range(at, len(lines)) if old in lines[k])
+    lines[i] = lines[i].replace(old, new)
+    return at
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("Male, Female", "Female, Male",
+     "the schema block's fingerprint {} is not the header's 5c57a9d269024d7e"),
+    ("labels: High, Moderate, Low", "labels: High, Low",
+     "the schema block's fingerprint {} is not the header's 5c57a9d269024d7e"),
+    ("CustodyAge | numeric", "CustodyAge | decimal",
+     "bad schema block: CustodyAge: unknown kind 'decimal'"),
+    ("labels:", "colours:", "bad schema block: line 2: unknown entry 'colours'"),
+])
+def test_an_edited_schema_block_is_refused_at_its_first_line(
+        tmp_path, model_lines, old, new, message):
+    lines = list(model_lines)
+    at = _edit_block(lines, old, new)
+    block = "\n".join(lines[at:lines.index("tree 0")])
+    if "{}" in message:
+        message = message.format(FeatureSchema.from_text(block).fingerprint())
+    with pytest.raises(DataError) as err:
+        _load_lines(tmp_path, lines)
+    assert str(err.value) == f"{tmp_path / 'bad.forest'}, line {at + 1}: {message}"
+
+
+def test_a_model_file_without_its_schema_block_is_refused(tmp_path, model_lines):
+    lines = list(model_lines)
+    at = lines.index(SCHEMA_FORMAT_LINE)
+    del lines[at:lines.index("tree 0")]
+    with pytest.raises(DataError) as err:
+        _load_lines(tmp_path, lines)
+    assert str(err.value) == (f"{tmp_path / 'bad.forest'}, line {at + 1}:"
+                              " unexpected header line 'tree 0'")
+
+
 def _splice(lines, at, stop, new=()):
     """Replace lines[at:stop] with ``new``; return ``at``."""
     lines[at:stop] = new
@@ -572,11 +667,23 @@ def _bump(lines, t, step):
     """Add ``step`` to the largest count of tree t's first leaf; return the
     index of its ``tree t`` line."""
     at = lines.index(f"tree {t}")
-    i = _first(lines[at:], "leaf ") + at
-    counts = [int(c) for c in lines[i][5:].split(",")]
+    i = _first_leaf(lines, at)
+    counts = [int(c) for c in lines[i].split(",")]
     counts[counts.index(max(counts))] += step
-    lines[i] = "leaf " + ",".join(map(str, counts))
+    lines[i] = ",".join(map(str, counts))
     return at
+
+
+def _replace_leaf(lines, new):
+    """Replace the first leaf line with ``new``; return its index."""
+    i = _first_leaf(lines)
+    return _splice(lines, i, i + 1, [new])
+
+
+def _replace_split(lines, new):
+    """Replace the first threshold split line with ``new``; return its index."""
+    i = _first_split(lines, "<=")
+    return _splice(lines, i, i + 1, [new])
 
 
 # Each edit changes a copy of the model's lines in place and returns the
@@ -584,12 +691,12 @@ def _bump(lines, t, step):
 _LOAD_FAULTS = {
     "not a forest document": (
         lambda m: _replace(m, "riskforest-forest", "riskforest model"),
-        "not a forest document (expected 'riskforest-forest v5')"),
+        "not a forest document (expected 'riskforest-forest v6')"),
     "unknown header key": (
         lambda m: _replace(m, "min_leaf ", "colour blue"),
         "unexpected header line 'colour blue'"),
     "repeated header key": (
-        lambda m: _replace(m, "tree 0", "min_leaf 7", "tree 0"),
+        lambda m: _replace(m, SCHEMA_FORMAT_LINE, "min_leaf 7", SCHEMA_FORMAT_LINE),
         "unexpected header line 'min_leaf 7'"),
     "format v2's identity_bootstrap line": (
         lambda m: _replace(m, "n_train ", "identity_bootstrap 0",
@@ -616,7 +723,7 @@ _LOAD_FAULTS = {
                            m[_first(m, "n_trees ")]),
         "unexpected header line 'n_features 34'"),
     "node after the end of its tree": (
-        lambda m: _replace(m, "tree 1", "leaf 1,0,0", "tree 1"),
+        lambda m: _replace(m, "tree 1", "1,0,0", "tree 1"),
         "node after the end of its tree"),
     "tree open at the next tree": (
         lambda m: _splice(m, m.index("tree 1") - 1, m.index("tree 1")),
@@ -625,30 +732,39 @@ _LOAD_FAULTS = {
         lambda m: _splice(m, len(m) - 2, len(m) - 1),
         "tree 4 ends before its last leaf"),
     "malformed leaf": (
-        lambda m: _replace(m, "leaf ", "leaf 1.0,zero,0.0"),
-        "malformed node line 'leaf 1.0,zero,0.0'"),
+        lambda m: _replace_leaf(m, "1.0,zero,0.0"),
+        "malformed node line '1.0,zero,0.0'"),
     "malformed split operator": (
-        lambda m: _replace(m, "split ", "split 0 < 1.5"),
-        "malformed node line 'split 0 < 1.5'"),
+        lambda m: _replace_split(m, "0 < 1.5"),
+        "malformed node line '0 < 1.5'"),
     "empty category subset": (
-        lambda m: _replace(m, "split ", "split 0 in "),
-        "malformed node line 'split 0 in '"),
+        lambda m: _replace_split(m, "0 in "),
+        "malformed node line '0 in '"),
     "unknown node kind": (
-        lambda m: _replace(m, "leaf ", "node 1.0"),
+        lambda m: _replace_leaf(m, "node 1.0"),
         "malformed node line 'node 1.0'"),
+    "format v5's leaf keyword": (
+        lambda m: _replace_leaf(m, "leaf 1,0,0"),
+        "malformed node line 'leaf 1,0,0'"),
+    "format v5's split keyword": (
+        lambda m: _replace_split(m, "split 0 <= 1.5"),
+        "malformed node line 'split 0 <= 1.5'"),
+    "split without its argument": (
+        lambda m: _replace_split(m, "0 <="),
+        "malformed node line '0 <='"),
     **{f"leaf count {text!r}": (
-        lambda m, text=text: _replace(m, "leaf ", f"leaf {text},1,1"),
-        f"malformed node line 'leaf {text},1,1'")
+        lambda m, text=text: _replace_leaf(m, f"{text},1,1"),
+        f"malformed node line '{text},1,1'")
        for text in ("3.0", "+3", "3_0", " 3", "03", "-1", "", "\u0663", "nan",
                     "1" + "0" * 19)},
     "all-zero leaf": (
-        lambda m: _replace(m, "leaf ", "leaf 0,0,0"),
+        lambda m: _replace_leaf(m, "0,0,0"),
         f"leaf class counts must sum to 1..{2**63 - 1}"),
     "negative leaf sum": (
-        lambda m: _replace(m, "leaf ", "leaf -1,0,0"),
+        lambda m: _replace_leaf(m, "-1,0,0"),
         f"leaf class counts must sum to 1..{2**63 - 1}"),
     "leaf sum beyond 64 bits": (
-        lambda m: _replace(m, "leaf ", f"leaf {2**63 - 1},1,0"),
+        lambda m: _replace_leaf(m, f"{2**63 - 1},1,0"),
         f"leaf class counts must sum to 1..{2**63 - 1}"),
     "tree counts above the bootstrap size": (
         lambda m: _bump(m, 1, +1),
@@ -657,10 +773,10 @@ _LOAD_FAULTS = {
         lambda m: _bump(m, 4, -1),
         "tree 4's leaf counts sum to 399, not the bootstrap size 400"),
     "NaN threshold": (
-        lambda m: _replace(m, "split ", "split 10 <= nan"),
+        lambda m: _replace_split(m, "10 <= nan"),
         "split threshold must be finite"),
     "infinite threshold": (
-        lambda m: _replace(m, "split ", "split 10 <= inf"),
+        lambda m: _replace_split(m, "10 <= inf"),
         "split threshold must be finite"),
     "bad configuration value": (
         lambda m: _replace(m, "n_trees ", "n_trees x"),
@@ -682,7 +798,7 @@ _LOAD_FAULTS = {
                           ["tree 2"]),
         "expected 'tree 1', got 'tree 2'"),
     "content after end": (
-        lambda m: _splice(m, len(m), len(m), ["leaf 1,0,0"]),
+        lambda m: _splice(m, len(m), len(m), ["1,0,0"]),
         "content after 'end'"),
     "tree count against the header": (
         lambda m: _splice(m, m.index("tree 4"), len(m) - 1),
@@ -711,31 +827,36 @@ def test_a_leaf_is_refused_where_its_weights_would_overflow(top):
     # the count sum a leaf may hold, and the largest allowed sum stays finite.
     weights, most = (top, 1.0, 1.0), int(1e308 / top)
     with pytest.raises(DataError, match=rf"sum to 1\.\.{most}$") as err:
-        read_trees(["tree 0", f"leaf {most + 1},0,0", "end"], 0, weights, [0])
+        read_trees(["tree 0", f"{most + 1},0,0", "end"], 0, weights, [0])
     assert err.value.row == 1
     if most:
-        table = read_trees(["tree 0", f"leaf {most - 1},1,0", "end"], 0,
+        table = read_trees(["tree 0", f"{most - 1},1,0", "end"], 0,
                            weights, [0])
         assert np.isfinite(table.weights).all() and table.vote[0] == 0
 
 
 _NODE_LIKE = st.sampled_from([
-    "leaf 1,0,0", "leaf 0,2,1", "leaf 0,0,0", "leaf 1.0,0.0,0.0",
-    "leaf 0,+2,1", "leaf -1,2,0", "leaf 1,1", "leaf", "split 0 <= 0.5",
-    "split 33 <= nan", "split 34 <= 1.0", "split 6 in 0,2", "split 6 in 2,0,2",
-    "split 6 in 99", "split -1 in 0", "split 0 in ", "split 0 < 1.0",
-    "tree 0", "tree 1", "tree 5", "end", ""])
+    "1,0,0", "0,2,1", "0,0,0", "1.0,0.0,0.0", "0,+2,1", "-1,2,0", "1,1", "1",
+    "leaf 1,0,0", "0 <= 0.5", "33 <= nan", "34 <= 1.0", "6 in 0,2",
+    "6 in 2,0,2", "6 in 99", "-1 in 0", "0 in ", "0 < 1.0", "split 0 <= 0.5",
+    "tree 0", "tree 1", "tree 5", "end", "",
+    # schema block lines
+    SCHEMA_FORMAT_LINE, "labels: High, Low", "labels: Low, Moderate, High",
+    "group: Group", "# a comment", "feature: Extra | numeric",
+    "feature: Gender | binary | Female, Male", "feature: CustodyAge | count",
+    "feature: PriorAnyOffenceLatestYears | years-since | sentinel=99"])
 
 _EDIT = st.tuples(
     st.sampled_from(("delete", "duplicate", "swap", "truncate", "replace",
-                     "count")),
+                     "count", "character")),
     st.integers(0, 10**4), st.integers(0, 10**4), _NODE_LIKE)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
 def test_edited_model_file_loads_or_raises_data_error(
         model_lines, schema, tmp_path_factory, edits):
+    # Edits land on the header, the schema block and the node lines alike.
     lines = list(model_lines)
     for op, a, b, token in edits:
         if not lines:
@@ -751,19 +872,25 @@ def test_edited_model_file_loads_or_raises_data_error(
             del lines[i:]
         elif op == "count":  # move one case from leaf line i to leaf line j
             for k, step in ((i, -1), (j, 1)):
-                counts = lines[k][5:].split(",")
-                c = (a + b) % len(counts)
-                if lines[k].startswith("leaf ") and counts[c].isdigit():
+                if _is_leaf(lines[k]):
+                    counts = lines[k].split(",")
+                    c = (a + b) % len(counts)
                     counts[c] = str(int(counts[c]) + step)
-                    lines[k] = "leaf " + ",".join(counts)
+                    lines[k] = ",".join(counts)
+        elif op == "character":  # drop one character of line i
+            c = b % max(1, len(lines[i]))
+            lines[i] = lines[i][:c] + lines[i][c + 1:]
         else:
             lines[i] = token
     base = tmp_path_factory.getbasetemp()
     path, again = base / "edited.forest", base / "again.forest"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
-        forest = load_forest(path, schema)
+        forest = load_forest(path)
     except DataError:
         return
     save_forest(forest, again)
-    _assert_same_table(load_forest(again, schema).table, forest.table)
+    reloaded = load_forest(again, schema if forest.fingerprint
+                           == schema.fingerprint() else None)
+    assert reloaded.schema.model_text() == forest.schema.model_text()
+    _assert_same_table(reloaded.table, forest.table)

@@ -100,3 +100,25 @@ def test_non_utf8_schema_file_is_refused_naming_it(tmp_path):
     with pytest.raises(SchemaError) as err:
         FeatureSchema.load(path)
     assert str(err.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("name", ["", " x", "x ", "a#1", "a,b", "a|b", "a:b",
+                                  "a\nb", "a\x0cb", "a\u2028b"])
+def test_a_name_the_schema_text_cannot_hold_is_refused(name):
+    # A model file holds its schema's text, so every name must read back.
+    with pytest.raises(SchemaError, match="bad feature name or category"):
+        FeatureSpec(name, "numeric")
+    with pytest.raises(SchemaError, match="bad feature name or category"):
+        FeatureSpec("area", "categorical", categories=(name, "S", "OTHER"))
+    with pytest.raises(SchemaError, match="label_set needs"):
+        FeatureSchema(specs=(FeatureSpec("x", "numeric"),),
+                      label_set=(name, "Low"))
+
+
+def test_names_with_inner_spaces_and_marks_read_back():
+    schema = FeatureSchema(
+        specs=(FeatureSpec("Age (years)", "numeric"),
+               FeatureSpec("Area", "categorical",
+                           categories=("North East", "S-W", "OTHER"))),
+        label_set=("High risk", "Low risk"))
+    assert FeatureSchema.from_text(schema.to_text()) == schema

@@ -22,6 +22,8 @@ from riskforest import VALIDATION_MARGINALS, generate_synthetic, hart_schema
 from riskforest.data.dataset import load_csv
 from riskforest.tree import train_tree
 
+from oracles import forest_trees, tree_depth
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -141,3 +143,32 @@ def test_traced_train_with_tree_workers_keeps_every_tree_metric(
                  "tree.depth_max", "forest.train_self_s"):
         assert math.isfinite(metrics[name]), name
     assert metrics["tree.train_tree_calls"] == len(range(0, n_trees, 2))
+
+
+def test_traced_train_on_the_forked_path_describes_this_process_share(
+        tracing, tmp_path, monkeypatch):
+    # With tree_workers forced to 2, trees 1, 3, ... grow in a forked child
+    # that the tracer does not see: the tree.* metrics must describe trees
+    # 0, 2, ... exactly, and stay finite.
+    monkeypatch.setattr(forest_api, "tree_workers", lambda n_trees, draws: 2)
+    gen, tr = tmp_path / "gen", tmp_path / "tr"
+    assert cli.main(["generate", "--n", "300", "--seed", "6",
+                     "--out", str(gen)]) == 0
+    tracer = tracing.Tracer("seams")
+    undo = tracer.install(tracing.VERB_TARGETS)
+    try:
+        assert cli.main(["train", "--data", str(gen / "synthetic.csv"),
+                         "--trees", "5", "--max-depth", "7", "--seed", "6",
+                         "--out", str(tr)]) == 0
+    finally:
+        tracer.restore(undo)
+    tracer.finish()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.wrapped)
+    forest = forest_api.load_forest(tr / "model.forest")
+    share = forest_trees(forest)[0::2]
+    nodes = np.diff(forest.table.roots, append=len(forest.table.right))[0::2]
+    assert metrics["tree.train_tree_calls"] == len(share) == 3
+    for name in ("tree.nodes_mean", "tree.depth_max"):
+        assert math.isfinite(metrics[name]), name
+    assert metrics["tree.nodes_mean"] == nodes.sum() / len(share)
+    assert metrics["tree.depth_max"] == max(map(tree_depth, share))
